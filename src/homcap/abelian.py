@@ -522,23 +522,30 @@ def enumerate_direct_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
 # tensor and Tor
 
 
-def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
-    """Tensor product over Z: bilinear in direct sums, Z (x) X = X,
-    Z/m (x) Z/n = Z/gcd(m, n)."""
+def _tor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
+    # cyclic orders of Tor(A, B), trivial pieces dropped
+    pairs = itertools.product(a.invariant_factors, b.invariant_factors)
+    return [g for d, e in pairs if (g := math.gcd(d, e)) > 1]
+
+
+def _tensor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
+    # cyclic orders of A (x) B, trivial pieces dropped
     orders: list[int] = [0] * (a.free_rank * b.free_rank)
     orders.extend(list(b.invariant_factors) * a.free_rank)
     orders.extend(list(a.invariant_factors) * b.free_rank)
-    orders.extend(
-        math.gcd(d, e) for d in a.invariant_factors for e in b.invariant_factors
-    )
-    return FgAbelianGroup.from_orders(*orders)
+    orders.extend(_tor_orders(a, b))
+    return orders
+
+
+def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
+    """Tensor product over Z: bilinear in direct sums, Z (x) X = X,
+    Z/m (x) Z/n = Z/gcd(m, n)."""
+    return FgAbelianGroup.from_orders(*_tensor_orders(a, b))
 
 
 def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tor over Z: vanishes against free groups, Tor(Z/m, Z/n) = Z/gcd(m, n)."""
-    return FgAbelianGroup.from_orders(
-        *(math.gcd(d, e) for d in a.invariant_factors for e in b.invariant_factors)
-    )
+    return FgAbelianGroup.from_orders(*_tor_orders(a, b))
 
 
 # ---------------------------------------------------------------------------

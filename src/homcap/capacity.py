@@ -32,6 +32,9 @@ from .spaces import (
     SpaceExpr,
     Sphere,
     Wedge,
+    _graded,
+    _kunneth,
+    _moore_parts,
     canonicalize,
     homological_dimension,
     homology_profile,
@@ -165,39 +168,23 @@ def uses_moore_wedge_extension(space: SpaceExpr) -> bool:
     return not all(isinstance(c, Sphere) for c in children)
 
 
-def _subproducts(factors: tuple[SpaceExpr, ...]) -> list[SpaceExpr]:
-    out = []
-    for mask in itertools.product((False, True), repeat=len(factors)):
-        picked = [f for f, take in zip(factors, mask) if take]
-        if not picked:
-            out.append(POINT)
-        elif len(picked) == 1:
-            out.append(picked[0])
-        else:
-            out.append(Product(tuple(picked)))
-    return out
-
-
 def _distinguishable_subproducts(prod: Product) -> int:
     # Every sub-product is a retract, hence dominated; counting the ones
-    # homology can tell apart gives a certified lower bound.
-    subs = _subproducts(prod.children)
-    dims = [homological_dimension(s) for s in subs]
-    bound = max(
-        [DEFAULT_COMPARISON_FLOOR] + [d for d in dims if d is not None]
-    )
-    seen: set[tuple[FgAbelianGroup, ...]] = set()
-    for sub in subs:
-        seen.add(homology_profile(sub, bound).groups)
-    return len(seen)
-
-
-def _summand_space(summand: FgAbelianGroup, degree: int) -> list[SpaceExpr]:
-    parts: list[SpaceExpr] = [Sphere(degree)] * summand.free_rank
-    torsion = summand.torsion()
-    if not torsion.is_trivial():
-        parts.append(Moore(torsion, degree))
-    return parts
+    # homology can tell apart gives a certified lower bound.  Equal factors
+    # give equal sub-products, so only the prod(m_i + 1) sub-multisets of
+    # the sorted factors are built, each one Kunneth step from its parent.
+    dims = [homological_dimension(c) for c in prod.children]
+    bound = max(DEFAULT_COMPARISON_FLOOR, sum(d for d in dims if d is not None))
+    profiles = [{0: Z}]
+    for factor, run in itertools.groupby(prod.children):
+        step, copies = _graded(factor, bound), len(list(run))
+        grown = []
+        for graded in profiles:
+            for _ in range(copies):
+                graded = _kunneth(graded, step, bound)
+                grown.append(graded)
+        profiles += grown
+    return len({frozenset(graded.items()) for graded in profiles})
 
 
 def enumerate_dominated(space: SpaceExpr) -> list[SpaceExpr]:
@@ -223,7 +210,7 @@ def enumerate_dominated(space: SpaceExpr) -> list[SpaceExpr]:
             combo = tuple(reversed(combo))
             parts: list[SpaceExpr] = []
             for deg, summand in zip(degrees, combo):
-                parts.extend(_summand_space(summand, deg))
+                parts.extend(_moore_parts(summand, deg))
             out.append(wedge(*sorted(parts, key=space_sort_key)))
         return out
     if isinstance(canon, EilenbergMacLane):

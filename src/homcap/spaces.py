@@ -3,13 +3,21 @@
 The supported families are the one-point space, spheres S^n, wedge
 sums, Moore spaces M(A, n) with n >= 2, Eilenberg-MacLane spaces
 K(A, n) for finitely generated abelian A, complex projective spaces
-CP^n with n >= 2, and finite products.  Homology is computed degreewise
-from the standard tables, with the Kunneth formula (tensor plus Tor
-correction) handling products.
+CP^n with n >= 2, and finite products.  Homology is computed from the
+standard tables, with the Kunneth formula (tensor plus Tor correction)
+handling products.
+
+A graded group is kept sparse: a dict from degree to its nonzero group,
+up to a bound, in ascending degree.  Atoms list only their nonzero
+degrees (a sphere is {0: Z, n: Z}); only K-spaces fill every periodic
+degree up to the bound.  Kunneth pairs nonzero degrees only, collects
+the cyclic orders of every tensor and Tor piece landing in a degree, and
+canonicalizes each degree once.  Profiles are made dense on return.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,10 +25,10 @@ from .abelian import (
     TRIVIAL,
     Z,
     FgAbelianGroup,
+    _tensor_orders,
+    _tor_orders,
     direct_sum,
     group_sort_key,
-    tensor,
-    tor,
 )
 
 __all__ = [
@@ -260,68 +268,62 @@ def is_homology_supported(space: SpaceExpr) -> bool:
     return walk(space)
 
 
-def _kunneth(left: list[FgAbelianGroup], right: list[FgAbelianGroup]) -> list[FgAbelianGroup]:
-    # H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j)
-    top = len(left) - 1
-    out = []
-    for n in range(top + 1):
-        pieces = [tensor(left[i], right[n - i]) for i in range(n + 1)]
-        pieces.extend(tor(left[i], right[n - 1 - i]) for i in range(n))
-        out.append(direct_sum(*pieces))
-    return out
+def _kunneth(
+    left: dict[int, FgAbelianGroup], right: dict[int, FgAbelianGroup], top: int
+) -> dict[int, FgAbelianGroup]:
+    # H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j),
+    # over nonzero degrees only; each degree is canonicalized once
+    orders: dict[int, list[int]] = defaultdict(list)
+    for i, a in left.items():
+        for j, b in right.items():
+            if i + j > top:
+                break  # degrees ascend
+            orders[i + j] += _tensor_orders(a, b)
+            if i + j < top:
+                orders[i + j + 1] += _tor_orders(a, b)
+    return {n: FgAbelianGroup.from_orders(*orders[n]) for n in sorted(orders) if orders[n]}
 
 
-def _homology_list(space: SpaceExpr, top: int) -> list[FgAbelianGroup]:
-    """Groups H_0 .. H_top of a canonical space."""
-    groups = [TRIVIAL] * (top + 1)
-
+def _graded(space: SpaceExpr, top: int) -> dict[int, FgAbelianGroup]:
+    """The nonzero groups H_0 .. H_top of a canonical space, by ascending
+    degree."""
     if isinstance(space, Point):
-        groups[0] = Z
-    elif isinstance(space, Sphere):
-        groups[0] = Z
-        if space.dim <= top:
-            groups[space.dim] = Z
-    elif isinstance(space, Moore):
-        groups[0] = Z
-        if space.degree <= top:
-            groups[space.degree] = space.group
-    elif isinstance(space, ComplexProjective):
-        for n in range(0, min(2 * space.dim, top) + 1, 2):
-            groups[n] = Z
-    elif isinstance(space, EilenbergMacLane):
+        return {0: Z}
+    if isinstance(space, Sphere):
+        return {0: Z} | ({space.dim: Z} if space.dim <= top else {})
+    if isinstance(space, Moore):
+        return {0: Z} | ({space.degree: space.group} if space.degree <= top else {})
+    if isinstance(space, ComplexProjective):
+        return {n: Z for n in range(0, min(2 * space.dim, top) + 1, 2)}
+    if isinstance(space, EilenbergMacLane):
         if not _em_supported(space):
             raise UnsupportedSpaceError(
                 f"homology of K({space.group}, {space.degree}) is outside the "
                 "supported table (finite cyclic in degree 1, or Z in degree 2)"
             )
         if space.degree == 1:
-            groups[0] = Z
-            for n in range(1, top + 1, 2):
-                groups[n] = space.group
-        else:
-            for n in range(0, top + 1, 2):
-                groups[n] = Z
-    elif isinstance(space, Wedge):
-        children = [_homology_list(c, top) for c in space.children]
-        groups[0] = Z
-        for n in range(1, top + 1):
-            groups[n] = direct_sum(*(c[n] for c in children))
-    elif isinstance(space, Product):
-        lists = [_homology_list(c, top) for c in space.children]
-        combined = lists[0]
-        for nxt in lists[1:]:
-            combined = _kunneth(combined, nxt)
-        groups = combined
-    else:
-        raise TypeError(f"not a space expression: {space!r}")
-    return groups
+            return {0: Z} | {n: space.group for n in range(1, top + 1, 2)}
+        return {n: Z for n in range(0, top + 1, 2)}
+    if isinstance(space, Wedge):
+        orders: dict[int, list[int]] = defaultdict(list)
+        for child in space.children:
+            for n, g in _graded(child, top).items():
+                if n:  # the reduced groups add up; H_0 stays Z
+                    orders[n] += [0] * g.free_rank + list(g.invariant_factors)
+        return {0: Z} | {n: FgAbelianGroup.from_orders(*orders[n]) for n in sorted(orders)}
+    if isinstance(space, Product):
+        graded = {0: Z}
+        for child in space.children:
+            graded = _kunneth(graded, _graded(child, top), top)
+        return graded
+    raise TypeError(f"not a space expression: {space!r}")
 
 
 def homology(space: SpaceExpr, n: int) -> FgAbelianGroup:
     """The integral homology group H_n, in canonical form."""
     if n < 0:
         raise ValueError("homology degree must be >= 0")
-    return _homology_list(canonicalize(space), n)[n]
+    return _graded(canonicalize(space), n).get(n, TRIVIAL)
 
 
 def homological_dimension(space: SpaceExpr) -> int | None:
@@ -375,7 +377,8 @@ def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
     if bound < 0:
         raise ValueError("profile bound must be >= 0")
     canon = canonicalize(space)
-    groups = tuple(_homology_list(canon, bound))
+    graded = _graded(canon, bound)
+    groups = tuple(graded.get(n, TRIVIAL) for n in range(bound + 1))
     dim = homological_dimension(canon)
     return HomologyProfile(groups, dim is not None and bound >= dim)
 

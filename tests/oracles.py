@@ -3,7 +3,10 @@
 Each oracle deliberately takes a different route than the code under
 test: determinant divisors instead of elimination, exhaustive
 generator-image search instead of canonical forms, explicit relation
-matrices instead of gcd rules.
+matrices instead of gcd rules, dense degree lists with one canonical
+group per tensor/Tor piece instead of sparse graded maps, and a fresh
+Kunneth fold for each of the 2^k sub-products instead of a walk over
+sub-multisets.
 """
 
 from __future__ import annotations
@@ -11,7 +14,26 @@ from __future__ import annotations
 import itertools
 import math
 
-from homcap import FgAbelianGroup, IntMatrix, from_presentation
+from homcap import (
+    POINT,
+    TRIVIAL,
+    Z,
+    ComplexProjective,
+    EilenbergMacLane,
+    FgAbelianGroup,
+    IntMatrix,
+    Moore,
+    Point,
+    Product,
+    Sphere,
+    Wedge,
+    canonicalize,
+    direct_sum,
+    from_presentation,
+    homological_dimension,
+    tensor,
+    tor,
+)
 
 
 def determinant_divisor_diagonal(m: IntMatrix) -> list[int]:
@@ -186,3 +208,67 @@ def all_abelian_groups_up_to(max_order: int) -> list[FgAbelianGroup]:
     for n in range(1, max_order + 1):
         out.extend(all_abelian_groups_of_order(n))
     return out
+
+
+def dense_kunneth(
+    left: list[FgAbelianGroup], right: list[FgAbelianGroup]
+) -> list[FgAbelianGroup]:
+    """H_n(X x Y) = sum_{i+j=n} H_i (x) H_j + sum_{i+j=n-1} Tor(H_i, H_j)
+    over every pair of degrees, each piece canonicalized on its own."""
+    out = []
+    for n in range(len(left)):
+        pieces = [tensor(left[i], right[n - i]) for i in range(n + 1)]
+        pieces.extend(tor(left[i], right[n - 1 - i]) for i in range(n))
+        out.append(direct_sum(*pieces))
+    return out
+
+
+def dense_homology(space, top: int) -> list[FgAbelianGroup]:
+    """Groups H_0 .. H_top of a canonical space as a dense list, from the
+    homology tables and a left-to-right Kunneth fold over the factors."""
+    groups = [TRIVIAL] * (top + 1)
+    groups[0] = Z
+    if isinstance(space, (Sphere, Moore)):
+        degree = space.dim if isinstance(space, Sphere) else space.degree
+        if degree <= top:
+            groups[degree] = Z if isinstance(space, Sphere) else space.group
+    elif isinstance(space, ComplexProjective):
+        for n in range(2, min(2 * space.dim, top) + 1, 2):
+            groups[n] = Z
+    elif isinstance(space, EilenbergMacLane):
+        # only the supported table: K(Z/m, 1) and K(Z, 2)
+        if space.degree == 1:
+            assert space.group.is_finite() and space.group.is_cyclic()
+            for n in range(1, top + 1, 2):
+                groups[n] = space.group
+        else:
+            assert space.degree == 2 and space.group == Z
+            for n in range(2, top + 1, 2):
+                groups[n] = Z
+    elif isinstance(space, Wedge):
+        children = [dense_homology(c, top) for c in space.children]
+        for n in range(1, top + 1):
+            groups[n] = direct_sum(*(c[n] for c in children))
+    elif isinstance(space, Product):
+        lists = [dense_homology(c, top) for c in space.children]
+        groups = lists[0]
+        for nxt in lists[1:]:
+            groups = dense_kunneth(groups, nxt)
+    else:
+        assert isinstance(space, Point)
+    return groups
+
+
+def subset_product_bound(space) -> int:
+    """The product lower bound by brute force: every one of the 2^k
+    sub-products of the canonical factors, each folded from scratch, and
+    compared up to max(10, the largest finite homological dimension among
+    them)."""
+    factors = canonicalize(space).children
+    subs = []
+    for mask in itertools.product((False, True), repeat=len(factors)):
+        picked = tuple(f for f, take in zip(factors, mask) if take)
+        subs.append(POINT if not picked else picked[0] if len(picked) == 1 else Product(picked))
+    dims = [homological_dimension(s) for s in subs]
+    bound = max([10] + [d for d in dims if d is not None])
+    return len({tuple(dense_homology(s, bound)) for s in subs})

@@ -25,6 +25,7 @@ from homcap import (
     homology_equivalent,
     wedge,
 )
+from oracles import subset_product_bound
 
 S1, S2, S3, S4, S5 = (Sphere(n) for n in range(1, 6))
 CP2 = ComplexProjective(2)
@@ -103,6 +104,13 @@ class TestCapacityDispatch:
 
     def test_product_merges_indistinguishable_subproducts(self):
         assert capacity(Product((S2, S2))) == ExtendedCount.lower_bound(3)
+
+    def test_product_compares_up_to_the_summed_dimension(self):
+        # S^4 x S^8 and S^4 v S^8 agree below degree 12 and differ there,
+        # above the largest factor dimension but within the sum (20)
+        space = Product((S4, Sphere(8), wedge(S4, Sphere(8))))
+        assert capacity(space) == ExtendedCount.lower_bound(8)
+        assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
 
     def test_product_with_unsupported_factor_unknown(self):
         assert capacity(Product((S2, EilenbergMacLane(cyclic(6), 2)))) == ExtendedCount.unknown()

@@ -1,6 +1,7 @@
 """Property tests for the algebraic and topological invariants."""
 
 import math
+from collections import Counter
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from homcap import (
     Z,
     ComplexProjective,
     EilenbergMacLane,
+    ExtendedCount,
     IntMatrix,
     Moore,
     Product,
@@ -27,6 +29,7 @@ from homcap import (
     free,
     from_presentation,
     homology,
+    homology_profile,
     is_isomorphic,
     parse_space,
     render_space,
@@ -35,7 +38,7 @@ from homcap import (
     tor,
     wedge,
 )
-from oracles import all_abelian_groups_up_to
+from oracles import all_abelian_groups_up_to, dense_homology, subset_product_bound
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -250,11 +253,57 @@ def test_wedge_multiplicativity_on_disjoint_dimensions(block1, block2):
     assert capacity(combined).value == capacity(w1).value * capacity(w2).value
 
 
-@given(st.lists(st.sampled_from([Sphere(2), Sphere(3), EilenbergMacLane(Z, 2), ComplexProjective(2)]), min_size=2, max_size=4))
-def test_product_lower_bound_is_monotone(factors):
-    cap = capacity(Product(tuple(factors)))
-    assert cap.kind == "lower-bound"
-    assert 1 <= cap.value <= 2 ** len(factors)
+monotone_factors = st.sampled_from(
+    [Sphere(2), Sphere(3), EilenbergMacLane(Z, 2), ComplexProjective(2)]
+)
+
+
+@given(st.lists(monotone_factors, min_size=2, max_size=4), monotone_factors)
+def test_product_lower_bound_is_monotone(factors, extra):
+    # sub-products of the smaller product are sub-products of the larger,
+    # and equal factors give equal sub-products
+    smaller = capacity(Product(tuple(factors)))
+    larger = capacity(Product(tuple(factors) + (extra,)))
+    assert smaller.kind == larger.kind == "lower-bound"
+    assert 1 <= smaller.value <= larger.value
+
+    def sub_multisets(fs):
+        return math.prod(m + 1 for m in Counter(fs).values())
+
+    assert smaller.value <= sub_multisets(factors)
+    assert larger.value <= sub_multisets(factors + [extra])
+
+
+product_factors = st.sampled_from(
+    [
+        Sphere(1),
+        Sphere(2),
+        Sphere(3),
+        ComplexProjective(2),
+        Moore(cyclic(2), 2),
+        Moore(cyclic(6), 3),
+        wedge(Sphere(2), Sphere(3)),
+        EilenbergMacLane(cyclic(2), 1),
+        EilenbergMacLane(cyclic(6), 1),
+        EilenbergMacLane(Z, 2),
+    ]
+)
+
+# runs of repeated factors, 2-5 factors in all
+product_factor_lists = (
+    st.lists(st.tuples(product_factors, st.integers(1, 3)), min_size=1, max_size=4)
+    .map(lambda runs: [f for f, m in runs for _ in range(m)][:5])
+    .filter(lambda factors: len(factors) >= 2)
+)
+
+
+@given(product_factor_lists, st.integers(0, 20))
+@settings(deadline=None, max_examples=50)
+def test_product_answers_match_dense_oracles(factors, bound):
+    space = Product(tuple(factors))
+    assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
+    profile = homology_profile(space, bound)
+    assert list(profile.groups) == dense_homology(canonicalize(space), bound)
 
 
 @given(supported_spaces)

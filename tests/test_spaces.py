@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from homcap import (
@@ -171,6 +173,15 @@ class TestHomology:
 
     def test_k_z_1_supported_via_circle(self):
         assert homology(EilenbergMacLane(Z, 1), 1) == Z
+
+    def test_high_degree_allocates_only_nonzero_degrees(self):
+        tracemalloc.start()
+        try:
+            assert homology(Sphere(2_000_000), 2_000_000) == Z
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestProfiles:
