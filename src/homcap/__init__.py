@@ -10,68 +10,9 @@ finitely generated abelian groups, and degreewise homology with the
 Kunneth formula.
 """
 
-from .abelian import (
-    DEFAULT_BRUTE_FORCE_LIMIT,
-    TRIVIAL,
-    Z,
-    FgAbelianGroup,
-    IntMatrix,
-    PrimaryComponent,
-    PrimaryDecomposition,
-    SizeLimitError,
-    brute_force_summands,
-    count_direct_summands,
-    cyclic,
-    direct_sum,
-    enumerate_direct_summands,
-    free,
-    from_presentation,
-    is_isomorphic,
-    primary_decomposition,
-    smith_normal_form,
-    tensor,
-    tor,
-)
-from .capacity import (
-    CounterexampleReport,
-    ExtendedCount,
-    UnsupportedCapacityError,
-    borsuk_report,
-    capacity,
-    capacity_two_complex,
-    default_comparison_bound,
-    enumerate_dominated,
-    homology_equivalent,
-    uses_moore_wedge_extension,
-)
-from .grammar import (
-    DomainError,
-    ParseError,
-    parse_group,
-    parse_space,
-    render_group,
-    render_space,
-)
-from .spaces import (
-    POINT,
-    ComplexProjective,
-    EilenbergMacLane,
-    HomologyProfile,
-    Moore,
-    Point,
-    Product,
-    SpaceExpr,
-    Sphere,
-    UnsupportedSpaceError,
-    Wedge,
-    canonicalize,
-    fundamental_group_free_rank,
-    homological_dimension,
-    homology,
-    homology_profile,
-    is_homology_supported,
-    product,
-    wedge,
-)
+from .abelian import *
+from .spaces import *
+from .capacity import *
+from .grammar import *
 
 __version__ = "0.1.0"

@@ -1,6 +1,10 @@
 """Capacity of a space: how many homotopy types it dominates.
 
-The dispatch covers exactly the families with known answers: wedges of
+:func:`classify` is the one dispatch: it canonicalizes the space once and
+returns a :class:`Rule` holding the canonical space, the count, and the
+dominated types where they are settled; :func:`capacity` and
+:func:`enumerate_dominated` read their answers off it.  The dispatch
+covers exactly the families with known answers: wedges of
 spheres (so in particular single spheres and bouquets of circles),
 Moore spaces and wedges of Moore spaces in distinct degrees, abelian
 Eilenberg-MacLane spaces, and CP^2.  Products yield a certified lower
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .abelian import (
     TRIVIAL,
@@ -27,11 +33,11 @@ from .spaces import (
     ComplexProjective,
     EilenbergMacLane,
     Moore,
-    Point,
     Product,
     SpaceExpr,
     Sphere,
     Wedge,
+    _dimension,
     _graded,
     _kunneth,
     _moore_parts,
@@ -47,13 +53,14 @@ __all__ = [
     "ExtendedCount",
     "CounterexampleReport",
     "UnsupportedCapacityError",
+    "Rule",
+    "classify",
     "capacity",
     "enumerate_dominated",
     "capacity_two_complex",
     "homology_equivalent",
     "borsuk_report",
     "default_comparison_bound",
-    "uses_moore_wedge_extension",
     "DEFAULT_COMPARISON_FLOOR",
 ]
 
@@ -105,13 +112,15 @@ class ExtendedCount:
         return "Unknown"
 
 
-def _moore_wedge_groups(children) -> dict[int, FgAbelianGroup] | None:
-    """Coefficient groups by degree for a wedge of spheres/Moore spaces.
+def _moore_wedge_groups(canon: SpaceExpr) -> dict[int, FgAbelianGroup] | None:
+    """Coefficient groups by degree for a canonical wedge of spheres/Moore
+    spaces; the point is the empty wedge.
 
     Same-degree children merge by direct sum (M(A,n) v M(B,n) is
     M(A+B, n)).  Returns None when the wedge is outside the settled
     families: a non-sphere/Moore child, or a circle mixed with torsion.
     """
+    children = canon.children if isinstance(canon, Wedge) else () if canon == POINT else (canon,)
     if not all(isinstance(c, (Sphere, Moore)) for c in children):
         return None
     has_circle = any(isinstance(c, Sphere) and c.dim == 1 for c in children)
@@ -125,47 +134,83 @@ def _moore_wedge_groups(children) -> dict[int, FgAbelianGroup] | None:
     return groups
 
 
-def capacity(space: SpaceExpr) -> ExtendedCount:
-    """Number of homotopy types dominated by the space.
+def _summand_wedges(groups: dict[int, FgAbelianGroup], parts) -> list[SpaceExpr]:
+    # one wedge of parts(summand, degree) per choice of a direct-summand
+    # class in every degree, with the lowest degree varying fastest
+    degrees = sorted(groups, reverse=True)
+    choices = [enumerate_direct_summands(groups[d]) for d in degrees]
+    return [
+        wedge(*sorted(
+            (p for deg, s in zip(degrees, combo) for p in parts(s, deg)), key=space_sort_key
+        ))
+        for combo in itertools.product(*choices)
+    ]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What the capacity dispatch settles for one space.
+
+    ``space`` is the canonical form the rule was read from and ``count``
+    the capacity.  ``extension`` is true when the count is the degreewise
+    summand-count product over a wedge that mixes degrees and carries
+    torsion, i.e. the sphere-wedge rule extended to Moore coefficients
+    rather than a single settled case.
+    """
+
+    space: SpaceExpr
+    count: ExtendedCount
+    extension: bool = False
+    enumerator: Callable[[], list[SpaceExpr]] | None = None
+
+    def dominated(self) -> list[SpaceExpr]:
+        """The dominated homotopy types, as canonical space expressions;
+        the list contains the point and the space, and its length is the
+        count."""
+        if self.enumerator is None:
+            raise UnsupportedCapacityError(
+                "dominated types can be enumerated only where the capacity is a "
+                "settled finite value (wedges of spheres/Moore spaces, K(A, n), CP^2)"
+            )
+        return self.enumerator()
+
+
+def classify(space: SpaceExpr) -> Rule:
+    """Canonicalize the space once and settle its capacity.
 
     Finite for the settled families, a lower bound for products, and
     Unknown elsewhere (CP^n with n >= 3, circles wedged with torsion,
-    wedges involving products/CP/K spaces, ...).
+    wedges involving products/CP/K spaces, ...); dominated types are
+    enumerable exactly where the count is finite.
     """
     canon = canonicalize(space)
-    if isinstance(canon, Point):
-        return ExtendedCount.finite(1)
-
-    children = canon.children if isinstance(canon, Wedge) else (canon,)
-    groups = _moore_wedge_groups(children)
-    if groups is not None:
-        return ExtendedCount.finite(
-            math.prod(count_direct_summands(g) for g in groups.values())
-        )
+    groups, parts = _moore_wedge_groups(canon), _moore_parts
     if isinstance(canon, EilenbergMacLane):
-        return ExtendedCount.finite(count_direct_summands(canon.group))
-    if isinstance(canon, ComplexProjective):
-        if canon.dim == 2:
-            return ExtendedCount.finite(2)
-        return ExtendedCount.unknown()
-    if isinstance(canon, Product) and all(
-        is_homology_supported(c) for c in canon.children
-    ):
-        return ExtendedCount.lower_bound(_distinguishable_subproducts(canon))
-    return ExtendedCount.unknown()
+        groups = {canon.degree: canon.group}
+        parts = lambda s, n: [canonicalize(EilenbergMacLane(s, n))]
+    if groups is not None:
+        return Rule(
+            canon,
+            ExtendedCount.finite(math.prod(count_direct_summands(g) for g in groups.values())),
+            len(groups) > 1 and any(g.invariant_factors for g in groups.values()),
+            partial(_summand_wedges, groups, parts),
+        )
+    if canon == ComplexProjective(2):
+        return Rule(canon, ExtendedCount.finite(2), enumerator=lambda: [POINT, canon])
+    if isinstance(canon, Product) and is_homology_supported(canon):
+        return Rule(canon, ExtendedCount.lower_bound(_distinguishable_subproducts(canon)))
+    return Rule(canon, ExtendedCount.unknown())
 
 
-def uses_moore_wedge_extension(space: SpaceExpr) -> bool:
-    """True when the capacity value comes from the degreewise
-    summand-count product over a wedge that mixes degrees and carries
-    torsion, i.e. from extending the sphere-wedge rule to Moore
-    coefficients rather than from a single settled case."""
-    canon = canonicalize(space)
-    children = canon.children if isinstance(canon, Wedge) else (canon,)
-    groups = _moore_wedge_groups(children)
-    if groups is None or len(groups) < 2:
-        return False
-    return not all(isinstance(c, Sphere) for c in children)
+def capacity(space: SpaceExpr) -> ExtendedCount:
+    """Number of homotopy types dominated by the space (see :func:`classify`)."""
+    return classify(space).count
+
+
+def enumerate_dominated(space: SpaceExpr) -> list[SpaceExpr]:
+    """The dominated homotopy types, where :func:`capacity` is a settled
+    finite value (see :meth:`Rule.dominated`)."""
+    return classify(space).dominated()
 
 
 def _distinguishable_subproducts(prod: Product) -> int:
@@ -173,7 +218,7 @@ def _distinguishable_subproducts(prod: Product) -> int:
     # homology can tell apart gives a certified lower bound.  Equal factors
     # give equal sub-products, so only the prod(m_i + 1) sub-multisets of
     # the sorted factors are built, each one Kunneth step from its parent.
-    dims = [homological_dimension(c) for c in prod.children]
+    dims = [_dimension(c) for c in prod.children]
     bound = max(DEFAULT_COMPARISON_FLOOR, sum(d for d in dims if d is not None))
     profiles = [{0: Z}]
     for factor, run in itertools.groupby(prod.children):
@@ -185,45 +230,6 @@ def _distinguishable_subproducts(prod: Product) -> int:
                 grown.append(graded)
         profiles += grown
     return len({frozenset(graded.items()) for graded in profiles})
-
-
-def enumerate_dominated(space: SpaceExpr) -> list[SpaceExpr]:
-    """The dominated homotopy types, as canonical space expressions.
-
-    Defined exactly where :func:`capacity` is finite through dispatch on
-    wedges of spheres/Moore spaces, Eilenberg-MacLane spaces, and CP^2;
-    the list always contains the point and the space itself, and its
-    length equals the capacity.
-    """
-    canon = canonicalize(space)
-    if isinstance(canon, Point):
-        return [POINT]
-
-    children = canon.children if isinstance(canon, Wedge) else (canon,)
-    groups = _moore_wedge_groups(children)
-    if groups is not None:
-        degrees = sorted(groups)
-        choices = [enumerate_direct_summands(groups[d]) for d in degrees]
-        out = []
-        # iterate with the lowest degree varying fastest
-        for combo in itertools.product(*reversed(choices)):
-            combo = tuple(reversed(combo))
-            parts: list[SpaceExpr] = []
-            for deg, summand in zip(degrees, combo):
-                parts.extend(_moore_parts(summand, deg))
-            out.append(wedge(*sorted(parts, key=space_sort_key)))
-        return out
-    if isinstance(canon, EilenbergMacLane):
-        return [
-            canonicalize(EilenbergMacLane(s, canon.degree)) if not s.is_trivial() else POINT
-            for s in enumerate_direct_summands(canon.group)
-        ]
-    if isinstance(canon, ComplexProjective) and canon.dim == 2:
-        return [POINT, canon]
-    raise UnsupportedCapacityError(
-        "dominated types can be enumerated only where the capacity is a "
-        "settled finite value (wedges of spheres/Moore spaces, K(A, n), CP^2)"
-    )
 
 
 def capacity_two_complex(r: int, s: int) -> ExtendedCount:
@@ -276,11 +282,11 @@ def borsuk_report(
     if bound is None:
         bound = default_comparison_bound(space_x, space_y)
     agrees, exact = homology_equivalent(space_x, space_y, bound)
-    cap_x = capacity(space_x)
-    cap_y = capacity(space_y)
+    rule_x, rule_y = classify(space_x), classify(space_y)
+    cap_x, cap_y = rule_x.count, rule_y.count
     return CounterexampleReport(
-        space_x=canonicalize(space_x),
-        space_y=canonicalize(space_y),
+        space_x=rule_x.space,
+        space_y=rule_y.space,
         compared_up_to=bound,
         homology_agrees=agrees,
         exact_comparison=exact,

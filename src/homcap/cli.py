@@ -15,12 +15,11 @@ import sys
 
 from .abelian import count_direct_summands, enumerate_direct_summands
 from .capacity import (
+    DEFAULT_COMPARISON_FLOOR,
     ExtendedCount,
     UnsupportedCapacityError,
     borsuk_report,
-    capacity,
-    enumerate_dominated,
-    uses_moore_wedge_extension,
+    classify,
 )
 from .grammar import DomainError, ParseError, parse_group, parse_space, render_group, render_space
 from .spaces import (
@@ -73,21 +72,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _count_json(count: ExtendedCount) -> dict:
+    try:
+        str(count)  # the text lines print it once the document is built
+    except ValueError:  # a value with more digits than str() converts
+        raise DomainError("the count has too many digits to print") from None
     return {"kind": count.kind, "value": count.value}
 
 
-def _profile_bound(space, requested: int | None) -> int:
-    if requested is not None:
-        if requested < 0:
-            raise DomainError("--bound must be >= 0")
-        return requested
-    dim = homological_dimension(space)
-    return dim if dim is not None else 10
+def _bound(args) -> int | None:
+    if args.bound is not None and args.bound < 0:
+        raise DomainError("--bound must be >= 0")
+    return args.bound
 
 
 def _run_homology(args) -> tuple[dict, list[str]]:
     space = canonicalize(parse_space(args.space))
-    bound = _profile_bound(space, args.bound)
+    bound = _bound(args)
+    if bound is None:
+        dim = homological_dimension(space)
+        bound = dim if dim is not None else DEFAULT_COMPARISON_FLOOR
     profile = homology_profile(space, bound)
     doc = {
         "command": "homology",
@@ -106,15 +109,14 @@ def _run_homology(args) -> tuple[dict, list[str]]:
 
 
 def _run_capacity(args) -> tuple[dict, list[str]]:
-    space = canonicalize(parse_space(args.space))
-    count = capacity(space)
+    rule = classify(parse_space(args.space))
     doc = {
         "command": "capacity",
-        "space": render_space(space),
-        "capacity": _count_json(count),
+        "space": render_space(rule.space),
+        "capacity": _count_json(rule.count),
     }
-    lines = [f"space: {doc['space']}", f"capacity: {count}"]
-    if uses_moore_wedge_extension(space):
+    lines = [f"space: {doc['space']}", f"capacity: {rule.count}"]
+    if rule.extension:
         note = (
             "value from the degreewise summand-count product, extending the "
             "sphere-wedge rule to Moore coefficients"
@@ -122,7 +124,7 @@ def _run_capacity(args) -> tuple[dict, list[str]]:
         doc["note"] = note
         lines.append(f"note: {note}")
     if args.enumerate_types:
-        dominated = enumerate_dominated(space)
+        dominated = rule.dominated()
         doc["dominated"] = [render_space(d) for d in dominated]
         lines.append(f"dominated types ({len(dominated)}):")
         lines += [f"  {render_space(d)}" for d in dominated]
@@ -132,9 +134,7 @@ def _run_capacity(args) -> tuple[dict, list[str]]:
 def _run_compare(args) -> tuple[dict, list[str]]:
     space_x = parse_space(args.space_x)
     space_y = parse_space(args.space_y)
-    if args.bound is not None and args.bound < 0:
-        raise DomainError("--bound must be >= 0")
-    report = borsuk_report(space_x, space_y, args.bound)
+    report = borsuk_report(space_x, space_y, _bound(args))
     doc = {
         "command": "compare",
         "space_x": render_space(report.space_x),
@@ -202,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCapacityError as err:
         print(f"unsupported-capacity: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"domain-error: {err}", file=sys.stderr)
-        return 1
     if args.json:
         print(json.dumps(doc))
     else:

@@ -92,8 +92,20 @@ class _Parser:
         tok = self.peek()
         if tok is None or not tok.isdigit():
             raise ParseError(self.column(), what)
+        col = self.column()
         self.pos += 1
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise DomainError(f"column {col}: numeral of {len(tok)} digits is too long") from None
+
+    def build(self, make, col: int, *args):
+        """``make(*args)``, with a constructor's domain error reported at
+        column ``col``."""
+        try:
+            return make(*args)
+        except ValueError as err:
+            raise DomainError(f"column {col}: {err}") from err
 
     def expect_end(self) -> None:
         if self.peek() is not None:
@@ -162,20 +174,12 @@ class _Parser:
             self.take()
             self.expect("^", "'^' after 'S'")
             col = self.column()
-            n = self.number("a dimension after 'S^'")
-            if n < 1:
-                raise DomainError(f"column {col}: sphere dimension must be >= 1")
-            return Sphere(n)
+            return self.build(Sphere, col, self.number("a dimension after 'S^'"))
         if tok == "CP":
             self.take()
             self.expect("^", "'^' after 'CP'")
             col = self.column()
-            n = self.number("an index after 'CP^'")
-            if n == 1:
-                raise DomainError(f"column {col}: CP^1 is the 2-sphere; write S^2")
-            if n < 2:
-                raise DomainError(f"column {col}: complex projective index must be >= 2")
-            return ComplexProjective(n)
+            return self.build(ComplexProjective, col, self.number("an index after 'CP^'"))
         if tok in ("M", "K"):
             self.take()
             self.expect("(", f"'(' after '{tok}'")
@@ -184,18 +188,7 @@ class _Parser:
             col = self.column()
             n = self.number("a degree")
             self.expect(")", "')'")
-            if tok == "M":
-                if n < 2:
-                    raise DomainError(
-                        f"column {col}: Moore spaces are not defined in degree 1; "
-                        "degree must be >= 2"
-                    )
-                return Moore(group, n)
-            if n < 1:
-                raise DomainError(
-                    f"column {col}: Eilenberg-MacLane degree must be >= 1"
-                )
-            return EilenbergMacLane(group, n)
+            return self.build(Moore if tok == "M" else EilenbergMacLane, col, group, n)
         raise ParseError(
             self.column(),
             "a space: '*', 'S^n', 'M(group, n)', 'K(group, n)', 'CP^n', or '('",
@@ -218,7 +211,10 @@ def parse_group(text: str) -> FgAbelianGroup:
 
 
 def render_group(group: FgAbelianGroup) -> str:
-    return str(group)
+    try:
+        return str(group)
+    except ValueError:  # an order with more digits than str() converts
+        raise DomainError("a group order has too many digits to print") from None
 
 
 def render_space(space: SpaceExpr) -> str:

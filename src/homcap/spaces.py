@@ -329,7 +329,11 @@ def homology(space: SpaceExpr, n: int) -> FgAbelianGroup:
 def homological_dimension(space: SpaceExpr) -> int | None:
     """Largest degree with possibly nonzero homology, or None when the
     homology is unbounded (an Eilenberg-MacLane factor is present)."""
-    space = canonicalize(space)
+    return _dimension(canonicalize(space))
+
+
+def _dimension(space: SpaceExpr) -> int | None:
+    # homological_dimension of a canonical space
     if isinstance(space, Point):
         return 0
     if isinstance(space, Sphere):
@@ -340,7 +344,7 @@ def homological_dimension(space: SpaceExpr) -> int | None:
         return 2 * space.dim
     if isinstance(space, EilenbergMacLane):
         return None
-    dims = [homological_dimension(c) for c in space.children]
+    dims = [_dimension(c) for c in space.children]
     if any(d is None for d in dims):
         return None
     return max(dims) if isinstance(space, Wedge) else sum(dims)
@@ -379,7 +383,7 @@ def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
     canon = canonicalize(space)
     graded = _graded(canon, bound)
     groups = tuple(graded.get(n, TRIVIAL) for n in range(bound + 1))
-    dim = homological_dimension(canon)
+    dim = _dimension(canon)
     return HomologyProfile(groups, dim is not None and bound >= dim)
 
 

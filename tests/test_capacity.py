@@ -17,6 +17,7 @@ from homcap import (
     canonicalize,
     capacity,
     capacity_two_complex,
+    classify,
     cyclic,
     direct_sum,
     enumerate_dominated,
@@ -127,6 +128,21 @@ class TestCapacityDispatch:
         ]
         for s in spaces:
             assert capacity(s) == capacity(canonicalize(s))
+            assert classify(s).space == canonicalize(s)
+
+    def test_moore_wedge_extension_flag(self):
+        # only a wedge that mixes degrees and carries torsion extends the
+        # sphere-wedge rule to Moore coefficients
+        assert classify(Wedge((S3, Moore(cyclic(2), 2)))).extension
+        settled = [
+            Wedge((S2, S4)),
+            Moore(FgAbelianGroup(0, (2, 4)), 3),
+            EilenbergMacLane(cyclic(6), 1),
+            CP2,
+            Product((S3, KZ2)),
+        ]
+        for s in settled:
+            assert not classify(s).extension
 
 
 class TestEnumerateDominated:

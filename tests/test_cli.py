@@ -1,6 +1,11 @@
 import json
+import math
+import shlex
+from pathlib import Path
 
 from homcap.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -135,6 +140,23 @@ class TestErrorHandling:
         assert code == 1
         assert err.startswith("domain-error:")
 
+    def test_over_long_numbers_are_domain_errors(self, capsys):
+        # numerals with more digits than int() converts are reported at
+        # their column; derived orders and counts with more digits than
+        # str() converts are domain errors too, never a traceback
+        primorial = math.prod(p for p in range(2, 542) if all(p % q for q in range(2, p)))
+        for argv, detail in [
+            (["capacity", "S^" + "9" * 5000], "column 3: "),
+            (["summands", "Z/" + "7" * 5000], "column 3: "),
+            (["summands", "Z/1" + "0" * 4299 + " + Z/" + str(3**20)], "group order"),
+            # 144 degrees of 2^100 summand classes each: 4,335 digits
+            (["capacity", " v ".join(f"M(Z/{primorial}, {d})" for d in range(2, 146))], "count"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("domain-error: ") and err.count("\n") == 1
+            assert detail in err and "set_int_max_str_digits" not in err
+
     def test_errors_are_single_lines(self, capsys):
         for argv in (
             ["capacity", "S^"],
@@ -165,3 +187,27 @@ class TestJsonStability:
             "capacity_y",
             "is_counterexample",
         ]
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of every ``$ homcap ...`` example in the README's
+    "Command line" section; an example's output runs to the next blank
+    line or the end of its code block."""
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples, output = [], None
+    for line in section.splitlines():
+        if line.startswith("$ homcap "):
+            output = []
+            examples.append((shlex.split(line)[2:], output))
+        elif not line.strip() or line.startswith("```"):
+            output = None
+        elif output is not None:
+            output.append(line)
+    return [(argv, "".join(f"{line}\n" for line in output)) for argv, output in examples]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 3
+    for argv, expected in examples:
+        assert run(capsys, *argv) == (0, expected, ""), argv

@@ -81,14 +81,17 @@ class TestSpaceParsing:
         assert parse_space("S^2 v *") == Wedge((Sphere(2), POINT))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            parse_space("M(Z, 1)")
-        with pytest.raises(DomainError):
-            parse_space("CP^1")
-        with pytest.raises(DomainError):
-            parse_space("S^0")
-        with pytest.raises(DomainError):
-            parse_space("K(Z, 0)")
+        # each error names the column of the offending number
+        for text, column in [
+            ("M(Z, 1)", 6),
+            ("CP^1", 4),
+            ("S^0", 3),
+            ("K(Z, 0)", 6),
+            ("S^2 v M(Z, 1)", 12),
+            ("CP^2 x S^" + "9" * 5000, 10),  # more digits than int() converts
+        ]:
+            with pytest.raises(DomainError, match=f"^column {column}: "):
+                parse_space(text)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
