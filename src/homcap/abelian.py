@@ -109,13 +109,6 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def diagonal_entries(self) -> list[int]:
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
 
@@ -159,48 +152,72 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"<empty {self.rows}x{self.cols} matrix>"
         return "\n".join(" ".join(str(e) for e in row) for row in self.to_rows())
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
+    """Smith-reduce the leading nr x nc block of the rows ``a`` in place.
 
+    Pivots, residues and the divisibility fix read only that block, while
+    every row operation acts on a whole row and every column operation on
+    a whole column, so rows and columns appended to the block record the
+    transforms.
+    """
 
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
+    def add_row(dst, src, factor):  # row[dst] += factor * row[src]
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
 
-def _add_row_multiple(a, u, dst, src, factor):
-    # row[dst] += factor * row[src]
-    ad, asrc = a[dst], a[src]
-    for j in range(len(ad)):
-        ad[j] += factor * asrc[j]
-    ud, usrc = u[dst], u[src]
-    for j in range(len(ud)):
-        ud[j] += factor * usrc[j]
+    def add_col(dst, src, factor):  # col[dst] += factor * col[src]
+        for row in a:
+            row[dst] += factor * row[src]
 
+    for t in range(min(nr, nc)):
+        # the minimal-|entry| nonzero pivot in the trailing block, first in
+        # row-major order among ties
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not entries:
+            return  # trailing block is zero; remaining diagonal stays 0
+        _, pi, pj = min(entries)
+        a[t], a[pi] = a[pi], a[t]
+        swap_cols(t, pj)
 
-def _add_col_multiple(a, v, dst, src, factor):
-    # col[dst] += factor * col[src]
-    for row in a:
-        row[dst] += factor * row[src]
-    for row in v:
-        row[dst] += factor * row[src]
-
-
-def _negate_row(a, u, i):
-    a[i] = [-e for e in a[i]]
-    u[i] = [-e for e in u[i]]
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-e for e in a[t]]
+            d = a[t][t]
+            # clear the pivot column with row operations
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // d))
+            residue = [i for i in range(t + 1, nr) if a[i][t]]
+            if residue:
+                # a remainder smaller than the pivot appeared; promote it
+                r = min(residue, key=lambda i: abs(a[i][t]))
+                a[t], a[r] = a[r], a[t]
+                continue
+            # clear the pivot row with column operations
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // d))
+            residue = [j for j in range(t + 1, nc) if a[t][j]]
+            if residue:
+                swap_cols(t, min(residue, key=lambda c: abs(a[t][c])))
+                continue
+            # pivot must divide the whole trailing block for the chain to hold
+            bad_row = next(
+                (i for i in range(t + 1, nr) if any(a[i][j] % d for j in range(t + 1, nc))),
+                None,
+            )
+            if bad_row is None:
+                break
+            add_row(t, bad_row, 1)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -212,68 +229,16 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry of least absolute value in the working submatrix, which keeps
     intermediate entries small in practice.
     """
+    # eliminate on [[M, I], [I, 0]]: the row operations build u in the
+    # top-right block and the column operations build v in the bottom-left
     nr, nc = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # locate the minimal-|entry| nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = a[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pivot = (i, j)
-            if best == 1:
-                break
-        if pivot is None:
-            break  # trailing block is zero; remaining diagonal stays 0
-        _swap_rows(a, u, t, pivot[0])
-        _swap_cols(a, v, t, pivot[1])
-
-        while True:
-            if a[t][t] < 0:
-                _negate_row(a, u, t)
-            d = a[t][t]
-            # clear the pivot column with row operations
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    _add_row_multiple(a, u, i, t, -(a[i][t] // d))
-            residue = [i for i in range(t + 1, nr) if a[i][t]]
-            if residue:
-                # a remainder smaller than the pivot appeared; promote it
-                _swap_rows(a, u, t, min(residue, key=lambda r: abs(a[r][t])))
-                continue
-            # clear the pivot row with column operations
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    _add_col_multiple(a, v, j, t, -(a[t][j] // d))
-            residue = [j for j in range(t + 1, nc) if a[t][j]]
-            if residue:
-                _swap_cols(a, v, t, min(residue, key=lambda c: abs(a[t][c])))
-                continue
-            # pivot must divide the whole trailing block for the chain to hold
-            bad_row = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % d for j in range(t + 1, nc)):
-                    bad_row = i
-                    break
-            if bad_row is not None:
-                _add_row_multiple(a, u, t, bad_row, 1)
-                continue
-            break
-        t += 1
-
-    d = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
+    a = [row + e for row, e in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
+    a += [e + [0] * nr for e in IntMatrix.identity(nc).to_rows()]
+    _diagonalize(a, nr, nc)
     return (
-        IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
-        d,
-        IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()),
+        IntMatrix(nr, nr, tuple(e for row in a[:nr] for e in row[nc:])),
+        IntMatrix(nr, nc, tuple(e for row in a[:nr] for e in row[:nc])),
+        IntMatrix(nc, nc, tuple(e for row in a[nr:] for e in row[:nc])),
     )
 
 
@@ -362,9 +327,9 @@ class FgAbelianGroup:
     def from_presentation(cls, relations: IntMatrix) -> FgAbelianGroup:
         """Cokernel of the relation matrix (columns are relations among
         ``relations.rows`` generators)."""
-        _, d, _ = smith_normal_form(relations)
-        diag = d.diagonal_entries()
-        nonzero = [e for e in diag if e != 0]
+        a = relations.to_rows()
+        _diagonalize(a, relations.rows, relations.cols)
+        nonzero = [a[i][i] for i in range(min(relations.rows, relations.cols)) if a[i][i]]
         return cls(relations.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
 
     # -- structure queries ---------------------------------------------------

@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .abelian import (
-    TRIVIAL,
     Z,
     FgAbelianGroup,
     count_direct_summands,
-    direct_sum,
     enumerate_direct_summands,
 )
 from .spaces import (
@@ -116,9 +114,10 @@ def _moore_wedge_groups(canon: SpaceExpr) -> dict[int, FgAbelianGroup] | None:
     """Coefficient groups by degree for a canonical wedge of spheres/Moore
     spaces; the point is the empty wedge.
 
-    Same-degree children merge by direct sum (M(A,n) v M(B,n) is
-    M(A+B, n)).  Returns None when the wedge is outside the settled
-    families: a non-sphere/Moore child, or a circle mixed with torsion.
+    The groups are the wedge's reduced homology, so same-degree children
+    merge by direct sum (M(A,n) v M(B,n) is M(A+B, n)).  Returns None
+    when the wedge is outside the settled families: a non-sphere/Moore
+    child, or a circle mixed with torsion.
     """
     children = canon.children if isinstance(canon, Wedge) else () if canon == POINT else (canon,)
     if not all(isinstance(c, (Sphere, Moore)) for c in children):
@@ -127,11 +126,7 @@ def _moore_wedge_groups(canon: SpaceExpr) -> dict[int, FgAbelianGroup] | None:
     if has_circle and not all(isinstance(c, Sphere) for c in children):
         # a circle wedged with a torsion Moore space has no proved value
         return None
-    groups: dict[int, FgAbelianGroup] = {}
-    for c in children:
-        deg, g = (c.dim, Z) if isinstance(c, Sphere) else (c.degree, c.group)
-        groups[deg] = direct_sum(groups.get(deg, TRIVIAL), g)
-    return groups
+    return {n: g for n, g in _graded(canon, _dimension(canon)).items() if n}
 
 
 def _summand_wedges(groups: dict[int, FgAbelianGroup], parts) -> list[SpaceExpr]:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .abelian import count_direct_summands, enumerate_direct_summands
+from .abelian import enumerate_direct_summands
 from .capacity import (
     DEFAULT_COMPARISON_FLOOR,
     ExtendedCount,
@@ -166,7 +166,7 @@ def _run_compare(args) -> tuple[dict, list[str]]:
 def _run_summands(args) -> tuple[dict, list[str]]:
     group = parse_group(args.group)
     classes = enumerate_direct_summands(group)
-    count = count_direct_summands(group)
+    count = len(classes)
     doc = {
         "command": "summands",
         "group": render_group(group),

@@ -2,7 +2,8 @@
 
 Groups:  ``Z``, ``Z/n`` (n >= 2), ``Z^r``, ``0``, combined with ``+``.
 Spaces:  ``*``, ``S^n``, ``M(<group>, n)``, ``K(<group>, n)``, ``CP^n``,
-infix ``v`` (wedge) and ``x`` (product, binds tighter), parentheses.
+infix ``v`` (wedge) and ``x`` (product, binds tighter), parentheses
+nested at most ``MAX_NESTING`` deep.
 Whitespace is insignificant; tokenization is longest-match.
 """
 
@@ -31,6 +32,10 @@ __all__ = [
     "render_space",
     "render_group",
 ]
+
+# the parser recurses three frames per parenthesis level; a cap keeps deep
+# input well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -69,6 +74,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.end_column = len(text) + 1
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -166,9 +172,16 @@ class _Parser:
             self.take()
             return POINT
         if tok == "(":
+            col = self.column()
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise DomainError(
+                    f"column {col}: parentheses nest more than {MAX_NESTING} levels deep"
+                )
             inner = self.space()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
         if tok == "S":
             self.take()

@@ -80,7 +80,11 @@ class TestSmithNormalForm:
     )
     def test_agrees_with_determinant_divisors(self, rows):
         m = IntMatrix.from_rows(rows)
-        assert snf_is_valid(m) == determinant_divisor_diagonal(m)
+        diag = determinant_divisor_diagonal(m)
+        assert snf_is_valid(m) == diag
+        nonzero = [e for e in diag if e]
+        expected = FgAbelianGroup(m.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
+        assert from_presentation(m) == expected
 
     def test_empty_shapes(self):
         for rows, cols in [(2, 0), (0, 3), (0, 0)]:

@@ -162,8 +162,10 @@ class TestErrorHandling:
             ["capacity", "S^"],
             ["homology", "K(Z/6,2)"],
             ["capacity", "CP^3", "--enumerate"],
+            ["capacity", "S^2 v (" * 3000 + "S^2" + ")" * 3000],
         ):
-            _, _, err = run(capsys, *argv)
+            code, _, err = run(capsys, *argv)
+            assert code in (1, 2)
             assert err.endswith("\n") and err.count("\n") == 1
 
 
@@ -211,3 +213,11 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
     assert len(examples) >= 3
     for argv, expected in examples:
         assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_readme_library_block_runs():
+    # a public name the README's "Library" example uses must still exist
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from homcap import" in block
+    exec(compile(block, str(README), "exec"), {})

@@ -89,9 +89,11 @@ class TestSpaceParsing:
             ("K(Z, 0)", 6),
             ("S^2 v M(Z, 1)", 12),
             ("CP^2 x S^" + "9" * 5000, 10),  # more digits than int() converts
+            ("(" * 101 + "S^2" + ")" * 101, 101),  # the first parenthesis past the cap
         ]:
             with pytest.raises(DomainError, match=f"^column {column}: "):
                 parse_space(text)
+        assert parse_space("(" * 100 + "S^2" + ")" * 100) == Sphere(2)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

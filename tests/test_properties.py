@@ -13,6 +13,7 @@ from homcap import (
     ComplexProjective,
     EilenbergMacLane,
     ExtendedCount,
+    FgAbelianGroup,
     IntMatrix,
     Moore,
     Product,
@@ -110,6 +111,9 @@ def test_snf_exactness(m):
         for j in range(d.cols):
             if i != j:
                 assert d.at(i, j) == 0
+    # from_presentation reduces without transforms; it must read the same diagonal
+    expected = FgAbelianGroup(m.rows - len(nonzero), tuple(x for x in nonzero if x > 1))
+    assert from_presentation(m) == expected
 
 
 def test_presentation_round_trip_exhaustive():
