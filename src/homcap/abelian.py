@@ -312,16 +312,7 @@ class FgAbelianGroup:
         Each order n >= 2 contributes Z/n, order 0 contributes a copy of
         Z, order 1 contributes nothing.
         """
-        rank = 0
-        primary: dict[int, list[int]] = defaultdict(list)
-        for n in orders:
-            n = abs(int(n))
-            if n == 0:
-                rank += 1
-            elif n > 1:
-                for p, e in _factorint(n).items():
-                    primary[p].append(e)
-        return cls(rank, _invariant_factors_from_primary(primary))
+        return _canonical(0, orders)
 
     @classmethod
     def from_presentation(cls, relations: IntMatrix) -> FgAbelianGroup:
@@ -368,6 +359,20 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _canonical(rank: int, orders) -> FgAbelianGroup:
+    # Z^rank plus the cyclic groups of the given orders, as in from_orders;
+    # a free rank is passed as a count, so its cost does not grow with it
+    primary: dict[int, list[int]] = defaultdict(list)
+    for n in orders:
+        n = abs(int(n))
+        if n == 0:
+            rank += 1
+        elif n > 1:
+            for p, e in _factorint(n).items():
+                primary[p].append(e)
+    return FgAbelianGroup(rank, _invariant_factors_from_primary(primary))
+
+
 Z = FgAbelianGroup(1)
 TRIVIAL = FgAbelianGroup()
 
@@ -391,11 +396,9 @@ def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
-    orders: list[int] = []
-    for g in groups:
-        orders.extend([0] * g.free_rank)
-        orders.extend(g.invariant_factors)
-    return FgAbelianGroup.from_orders(*orders)
+    return _canonical(
+        sum(g.free_rank for g in groups), [d for g in groups for d in g.invariant_factors]
+    )
 
 
 def group_sort_key(g: FgAbelianGroup) -> tuple:
@@ -438,10 +441,10 @@ class PrimaryDecomposition:
         return {(c.prime, c.exponent): c.multiplicity for c in self.components}
 
     def to_group(self) -> FgAbelianGroup:
-        orders = [0] * self.free_rank
-        for c in self.components:
-            orders.extend([c.prime**c.exponent] * c.multiplicity)
-        return FgAbelianGroup.from_orders(*orders)
+        return _canonical(
+            self.free_rank,
+            [c.prime**c.exponent for c in self.components for _ in range(c.multiplicity)],
+        )
 
 
 def primary_decomposition(g: FgAbelianGroup) -> PrimaryDecomposition:
@@ -476,10 +479,10 @@ def enumerate_direct_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
     out = []
     for rank in range(pd.free_rank + 1):
         for picks in itertools.product(*(range(c.multiplicity + 1) for c in pd.components)):
-            orders = [0] * rank
-            for c, take in zip(pd.components, picks):
-                orders.extend([c.prime**c.exponent] * take)
-            out.append(FgAbelianGroup.from_orders(*orders))
+            orders = [
+                c.prime**c.exponent for c, take in zip(pd.components, picks) for _ in range(take)
+            ]
+            out.append(_canonical(rank, orders))
     return sorted(out, key=group_sort_key)
 
 
@@ -494,9 +497,9 @@ def _tor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
 
 
 def _tensor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
-    # cyclic orders of A (x) B, trivial pieces dropped
-    orders: list[int] = [0] * (a.free_rank * b.free_rank)
-    orders.extend(list(b.invariant_factors) * a.free_rank)
+    # cyclic orders of the torsion of A (x) B, trivial pieces dropped; its
+    # free rank is a.free_rank * b.free_rank
+    orders = list(b.invariant_factors) * a.free_rank
     orders.extend(list(a.invariant_factors) * b.free_rank)
     orders.extend(_tor_orders(a, b))
     return orders
@@ -505,7 +508,7 @@ def _tensor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
 def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tensor product over Z: bilinear in direct sums, Z (x) X = X,
     Z/m (x) Z/n = Z/gcd(m, n)."""
-    return FgAbelianGroup.from_orders(*_tensor_orders(a, b))
+    return _canonical(a.free_rank * b.free_rank, _tensor_orders(a, b))
 
 
 def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:

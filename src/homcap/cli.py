@@ -4,7 +4,9 @@ Subcommands: ``homology``, ``capacity``, ``compare``, ``summands``; every
 one accepts ``--json`` for a single machine-readable document with a
 stable key order.  Exit codes: 0 success, 1 parse/domain error,
 2 unsupported space or capacity; diagnostics go to stderr as one
-``reason-code: message`` line.
+``reason-code: message`` line.  Argparse usage errors (an unknown
+subcommand, a missing argument, a non-integer ``--bound``) exit 2 with
+argparse's usage text.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("group")
     return parser
+
+
+# nothing in the parser depends on argv or the environment, and parse_args
+# returns a fresh Namespace, so one parser serves every call
+_PARSER = _build_parser()
 
 
 def _count_json(count: ExtendedCount) -> dict:
@@ -187,7 +194,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc, lines = _RUNNERS[args.command](args)
     except ParseError as err:

@@ -1,6 +1,7 @@
 """Text grammar for spaces and groups, with renderers that round-trip.
 
-Groups:  ``Z``, ``Z/n`` (n >= 2), ``Z^r``, ``0``, combined with ``+``.
+Groups:  ``Z``, ``Z/n`` (n >= 2), ``Z^r`` (r at most ``MAX_RANK``), ``0``,
+combined with ``+``.
 Spaces:  ``*``, ``S^n``, ``M(<group>, n)``, ``K(<group>, n)``, ``CP^n``,
 infix ``v`` (wedge) and ``x`` (product, binds tighter), parentheses
 nested at most ``MAX_NESTING`` deep.
@@ -36,6 +37,9 @@ __all__ = [
 # the parser recurses three frames per parenthesis level; a cap keeps deep
 # input well inside Python's recursion limit
 MAX_NESTING = 100
+# M(Z^r, n) canonicalizes to a wedge of r spheres and `summands` prints r + 1
+# classes, so a typed rank is capped before anything is built from it
+MAX_RANK = 10_000
 
 
 class ParseError(ValueError):
@@ -146,7 +150,11 @@ class _Parser:
                 return [n]
             if nxt == "^":
                 self.take()
-                return [0] * self.number("a rank after 'Z^'")
+                col = self.column()
+                r = self.number("a rank after 'Z^'")
+                if r > MAX_RANK:
+                    raise DomainError(f"column {col}: rank must be <= {MAX_RANK}")
+                return [0] * r
             return [0]
         raise ParseError(self.column(), "a group term: 'Z', 'Z/n', 'Z^r', or '0'")
 

@@ -25,6 +25,7 @@ from .abelian import (
     TRIVIAL,
     Z,
     FgAbelianGroup,
+    _canonical,
     _tensor_orders,
     _tor_orders,
     direct_sum,
@@ -273,15 +274,18 @@ def _kunneth(
 ) -> dict[int, FgAbelianGroup]:
     # H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j),
     # over nonzero degrees only; each degree is canonicalized once
+    ranks: dict[int, int] = defaultdict(int)
     orders: dict[int, list[int]] = defaultdict(list)
     for i, a in left.items():
         for j, b in right.items():
             if i + j > top:
                 break  # degrees ascend
+            ranks[i + j] += a.free_rank * b.free_rank
             orders[i + j] += _tensor_orders(a, b)
             if i + j < top:
                 orders[i + j + 1] += _tor_orders(a, b)
-    return {n: FgAbelianGroup.from_orders(*orders[n]) for n in sorted(orders) if orders[n]}
+    degrees = sorted(n for n in orders if ranks[n] or orders[n])
+    return {n: _canonical(ranks[n], orders[n]) for n in degrees}
 
 
 def _graded(space: SpaceExpr, top: int) -> dict[int, FgAbelianGroup]:
@@ -305,12 +309,12 @@ def _graded(space: SpaceExpr, top: int) -> dict[int, FgAbelianGroup]:
             return {0: Z} | {n: space.group for n in range(1, top + 1, 2)}
         return {n: Z for n in range(0, top + 1, 2)}
     if isinstance(space, Wedge):
-        orders: dict[int, list[int]] = defaultdict(list)
+        summands: dict[int, list[FgAbelianGroup]] = defaultdict(list)
         for child in space.children:
             for n, g in _graded(child, top).items():
                 if n:  # the reduced groups add up; H_0 stays Z
-                    orders[n] += [0] * g.free_rank + list(g.invariant_factors)
-        return {0: Z} | {n: FgAbelianGroup.from_orders(*orders[n]) for n in sorted(orders)}
+                    summands[n].append(g)
+        return {0: Z} | {n: direct_sum(*summands[n]) for n in sorted(summands)}
     if isinstance(space, Product):
         graded = {0: Z}
         for child in space.children:

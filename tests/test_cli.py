@@ -1,17 +1,33 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from homcap.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv):
+    """``python -m homcap.cli ...`` in a new interpreter, with homcap from src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homcap.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_json(capsys, *argv):
@@ -163,10 +179,31 @@ class TestErrorHandling:
             ["homology", "K(Z/6,2)"],
             ["capacity", "CP^3", "--enumerate"],
             ["capacity", "S^2 v (" * 3000 + "S^2" + ")" * 3000],
+            ["summands", "Z^99999999999999999999"],  # past the index size
         ):
             code, _, err = run(capsys, *argv)
             assert code in (1, 2)
             assert err.endswith("\n") and err.count("\n") == 1
+
+
+class TestSharedParser:
+    def test_no_state_carries_over_between_calls(self, capsys):
+        assert run_json(capsys, "homology", "S^2 v S^4", "--bound", "2")["bound"] == 2
+        assert run_json(capsys, "homology", "S^2 v S^4")["bound"] == 4
+        assert "dominated" in run_json(capsys, "capacity", "S^1 v S^2", "--enumerate")
+        assert "dominated" not in run_json(capsys, "capacity", "S^1 v S^2")
+        for argv in (["homology"], ["compare", "S^2", "--bound", "x"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+        capsys.readouterr()
+        argv = ["compare", "S^2 v S^4", "CP^2", "--json"]
+        assert run(capsys, *argv) == run_fresh(*argv)
+
+    def test_module_runs_as_a_script(self):
+        code, out, err = run_fresh("capacity", "S^2 v S^4", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["capacity"] == {"kind": "finite", "value": 4}
 
 
 class TestJsonStability:

@@ -90,10 +90,13 @@ class TestSpaceParsing:
             ("S^2 v M(Z, 1)", 12),
             ("CP^2 x S^" + "9" * 5000, 10),  # more digits than int() converts
             ("(" * 101 + "S^2" + ")" * 101, 101),  # the first parenthesis past the cap
+            ("M(Z^10001, 2)", 5),  # a rank past MAX_RANK
+            ("S^2 v M(Z + Z^99999999999999999999, 3)", 15),  # past the index size
         ]:
             with pytest.raises(DomainError, match=f"^column {column}: "):
                 parse_space(text)
         assert parse_space("(" * 100 + "S^2" + ")" * 100) == Sphere(2)
+        assert parse_group("Z^10000") == free(10_000)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

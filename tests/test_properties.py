@@ -1,8 +1,10 @@
 """Property tests for the algebraic and topological invariants."""
 
 import math
+import time
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -308,6 +310,29 @@ def test_product_answers_match_dense_oracles(factors, bound):
     assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
     profile = homology_profile(space, bound)
     assert list(profile.groups) == dense_homology(canonicalize(space), bound)
+
+
+def nested_wedge_of_products(k: int, base: str = "S^3") -> str:
+    # the free ranks of its homology grow geometrically with k
+    text = base
+    for i in range(k):
+        text = f"S^3 v (S^2 x ({text}))" if i % 2 else f"S^2 x ({text})"
+    return text
+
+
+@pytest.mark.parametrize("base", ["S^3", "M(Z/6, 3)"])
+def test_nested_wedges_of_products_match_dense_oracle(base):
+    for k in range(13):
+        space = canonicalize(parse_space(nested_wedge_of_products(k, base)))
+        assert list(homology_profile(space, 12).groups) == dense_homology(space, 12)
+
+
+def test_free_ranks_are_counted_not_listed():
+    space = parse_space(nested_wedge_of_products(50))  # 75 levels of parentheses
+    start = time.perf_counter()
+    profile = homology_profile(space, 12)
+    assert time.perf_counter() - start < 1.0
+    assert max(g.free_rank for g in profile.groups) == 15_890_700
 
 
 @given(supported_spaces)
