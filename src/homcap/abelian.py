@@ -3,7 +3,9 @@
 Everything here is pure and exact: matrices hold Python's
 arbitrary-precision integers, and groups are kept in invariant-factor
 canonical form (free rank plus a divisibility chain d1 | d2 | ...), so
-structural equality coincides with isomorphism.
+structural equality coincides with isomorphism.  Canonical forms are
+built from gcd and lcm alone; only ``primary_decomposition``, which
+summand counting and enumeration need, factors an integer.
 
 The module provides the Smith normal form underneath presentations, the
 usual constructions (direct sum, tensor, Tor, primary decomposition),
@@ -246,13 +248,55 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # finitely generated abelian groups in canonical form
 
 
+# divisors up to here are tried by trial division alone, so orders below
+# 10^6 never reach the primality test; past it a prime cofactor ends the
+# search at once
+_TRIAL_LIMIT = 1000
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); above it no answer rests on
+# the test.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT = 3_317_044_064_679_887_385_961_981
+
+
+def _proven_prime(n: int) -> bool:
+    """True when n is prime, proven by deterministic Miller-Rabin; False
+    when n is composite or at or above the bound where the test is exact."""
+    if n < 2 or n >= _MILLER_RABIN_EXACT:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n >= 1."""
+    """Prime factorization by trial division; n >= 1.  Past _TRIAL_LIMIT,
+    each new cofactor is first given to :func:`_proven_prime`, and a prime
+    one ends the search."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            if _proven_prime(n):
+                break
+            while n % d and d * d <= n:  # on to the next divisor
+                d += 2
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -264,21 +308,6 @@ def _factorint(n: int) -> dict[int, int]:
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and _factorint(n) == {n: 1}
-
-
-def _invariant_factors_from_primary(primary: dict[int, list[int]]) -> tuple[int, ...]:
-    """Recombine prime-power exponent lists into a divisibility chain.
-
-    The largest invariant factor collects the largest exponent of every
-    prime, the next the second largest, and so on.
-    """
-    columns = [sorted(exps, reverse=True) for p, exps in sorted(primary.items())]
-    primes = sorted(primary)
-    factors = []
-    for slot in itertools.zip_longest(*columns, fillvalue=0):
-        factors.append(math.prod(p**e for p, e in zip(primes, slot)))
-    factors = [f for f in factors if f > 1]
-    return tuple(sorted(factors))
 
 
 @dataclass(frozen=True)
@@ -310,7 +339,8 @@ class FgAbelianGroup:
         """Normalize an arbitrary direct sum of cyclic groups.
 
         Each order n >= 2 contributes Z/n, order 0 contributes a copy of
-        Z, order 1 contributes nothing.
+        Z, order 1 contributes nothing.  The invariant factors come from
+        gcd and lcm alone, so no order is factored.
         """
         return _canonical(0, orders)
 
@@ -361,16 +391,47 @@ class FgAbelianGroup:
 
 def _canonical(rank: int, orders) -> FgAbelianGroup:
     # Z^rank plus the cyclic groups of the given orders, as in from_orders;
-    # a free rank is passed as a count, so its cost does not grow with it
-    primary: dict[int, list[int]] = defaultdict(list)
+    # a free rank is passed as a count, so its cost does not grow with it.
+    # The torsion is the Smith form of diag(orders), from gcd and lcm alone:
+    # diag(d, n) ~ diag(lcm(d, n), gcd(d, n)), so an order enters the chain
+    # at the top and its gcd with each member carries down.  The chain is
+    # kept as runs [value, count], largest first, each value dividing the
+    # one before; a carry changes only the first member of a run, so an
+    # order costs at most one gcd per run, and there are at most
+    # log2(max order) runs.
+    runs: list[list[int]] = []
     for n in orders:
         n = abs(int(n))
         if n == 0:
             rank += 1
-        elif n > 1:
-            for p, e in _factorint(n).items():
-                primary[p].append(e)
-    return FgAbelianGroup(rank, _invariant_factors_from_primary(primary))
+        k = 0
+        while n > 1:  # n carries down and divides the value of run k - 1
+            if k == len(runs):
+                runs.append([n, 1])
+                break
+            v = runs[k][0]
+            if n == v:
+                runs[k][1] += 1
+                break
+            g = math.gcd(v, n)
+            if g == v:  # v | n: n fits between run k - 1 and run k
+                runs.insert(k, [n, 1])
+                break
+            if g < n:  # the first member of run k becomes lcm(v, n)
+                top = v // g * n
+                if k and runs[k - 1][0] == top:
+                    runs[k - 1][1] += 1
+                else:
+                    runs.insert(k, [top, 1])
+                    k += 1
+                runs[k][1] -= 1
+                if not runs[k][1]:
+                    del runs[k]
+                    k -= 1
+                n = g
+            k += 1  # n divides v: the rest of run k keeps its members
+    factors = [v for v, count in reversed(runs) for _ in range(count)]
+    return FgAbelianGroup(rank, tuple(factors))
 
 
 Z = FgAbelianGroup(1)

@@ -4,15 +4,17 @@ Each oracle deliberately takes a different route than the code under
 test: determinant divisors instead of elimination, exhaustive
 generator-image search instead of canonical forms, explicit relation
 matrices instead of gcd rules, dense degree lists with one canonical
-group per tensor/Tor piece instead of sparse graded maps, and a fresh
+group per tensor/Tor piece instead of sparse graded maps, a fresh
 Kunneth fold for each of the 2^k sub-products instead of a walk over
-sub-multisets.
+sub-multisets, and invariant factors recombined from prime powers found
+by trial division instead of a gcd/lcm chain.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 from homcap import (
     POINT,
@@ -170,6 +172,43 @@ def tor_of_cyclics_by_kernel(m: int, n: int) -> FgAbelianGroup:
     return FgAbelianGroup.from_orders(len(kernel))
 
 
+def trial_factorint(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division alone."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def factoring_canonical(rank: int, orders) -> FgAbelianGroup:
+    """Z^rank plus the cyclic groups of the given orders (0 is Z, 1 is
+    nothing, signs are dropped), canonicalized by factoring: every order
+    is split into prime powers, and the largest invariant factor collects
+    the largest power of every prime, the next the second largest, and
+    so on."""
+    primary: dict[int, list[int]] = defaultdict(list)
+    for n in orders:
+        n = abs(int(n))
+        if n == 0:
+            rank += 1
+        elif n > 1:
+            for p, e in trial_factorint(n).items():
+                primary[p].append(e)
+    primes = sorted(primary)
+    columns = [sorted(primary[p], reverse=True) for p in primes]
+    factors = [
+        math.prod(p**e for p, e in zip(primes, slot))
+        for slot in itertools.zip_longest(*columns, fillvalue=0)
+    ]
+    return FgAbelianGroup(rank, tuple(sorted(f for f in factors if f > 1)))
+
+
 def all_abelian_groups_of_order(n: int) -> list[FgAbelianGroup]:
     """Every isomorphism class of abelian groups of order n, via
     partitions of the prime exponents."""
@@ -183,15 +222,7 @@ def all_abelian_groups_of_order(n: int) -> list[FgAbelianGroup]:
             for tail in partitions(k - head, head):
                 yield (head,) + tail
 
-    factored: dict[int, int] = {}
-    d, rest = 2, n
-    while d * d <= rest:
-        while rest % d == 0:
-            factored[d] = factored.get(d, 0) + 1
-            rest //= d
-        d += 1
-    if rest > 1:
-        factored[rest] = factored.get(rest, 0) + 1
+    factored = trial_factorint(n)
 
     per_prime = [
         [[p**e for e in part] for part in partitions(exp)] for p, exp in factored.items()
