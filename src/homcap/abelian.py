@@ -9,9 +9,9 @@ summand counting and enumeration need, factors an integer.
 
 The module provides the Smith normal form underneath presentations, the
 usual constructions (direct sum, tensor, Tor, primary decomposition),
-and counting/enumeration of direct-summand isomorphism classes together
-with a brute-force oracle that validates the counting formula on small
-finite groups.
+and counting/enumeration of direct-summand isomorphism classes; the
+brute-force oracle that validates the counting formula on small finite
+groups lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,27 +26,18 @@ __all__ = [
     "FgAbelianGroup",
     "PrimaryComponent",
     "PrimaryDecomposition",
-    "SizeLimitError",
     "Z",
     "TRIVIAL",
     "cyclic",
-    "free",
     "smith_normal_form",
     "from_presentation",
-    "is_isomorphic",
     "direct_sum",
     "primary_decomposition",
     "count_direct_summands",
     "enumerate_direct_summands",
-    "brute_force_summands",
     "tensor",
     "tor",
-    "DEFAULT_BRUTE_FORCE_LIMIT",
 ]
-
-
-class SizeLimitError(ValueError):
-    """A brute-force computation was asked for a group that is too large."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +119,6 @@ class IntMatrix:
                 for j in range(other.cols):
                     out[base + j] += a * other.entries[krow + j]
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -344,15 +310,6 @@ class FgAbelianGroup:
         """
         return _canonical(0, orders)
 
-    @classmethod
-    def from_presentation(cls, relations: IntMatrix) -> FgAbelianGroup:
-        """Cokernel of the relation matrix (columns are relations among
-        ``relations.rows`` generators)."""
-        a = relations.to_rows()
-        _diagonalize(a, relations.rows, relations.cols)
-        nonzero = [a[i][i] for i in range(min(relations.rows, relations.cols)) if a[i][i]]
-        return cls(relations.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
-
     # -- structure queries ---------------------------------------------------
 
     def is_trivial(self) -> bool:
@@ -443,17 +400,13 @@ def cyclic(n: int) -> FgAbelianGroup:
     return FgAbelianGroup.from_orders(n)
 
 
-def free(rank: int) -> FgAbelianGroup:
-    return FgAbelianGroup(rank)
-
-
 def from_presentation(relations: IntMatrix) -> FgAbelianGroup:
-    return FgAbelianGroup.from_presentation(relations)
-
-
-def is_isomorphic(a: FgAbelianGroup, b: FgAbelianGroup) -> bool:
-    """Canonical forms are unique, so isomorphism is structural equality."""
-    return a == b
+    """Cokernel of the relation matrix (columns are relations among
+    ``relations.rows`` generators)."""
+    a = relations.to_rows()
+    _diagonalize(a, relations.rows, relations.cols)
+    nonzero = [a[i][i] for i in range(min(relations.rows, relations.cols)) if a[i][i]]
+    return FgAbelianGroup(relations.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
@@ -525,7 +478,8 @@ def count_direct_summands(g: FgAbelianGroup) -> int:
     By uniqueness of the decomposition into indecomposables, a summand
     is determined up to isomorphism by a sub-multiset of the
     indecomposable pieces, giving (rank+1) * prod (multiplicity+1).
-    The brute-force oracle below validates this on small groups.
+    The brute-force oracle in ``tests/oracles.py`` validates this on
+    small groups.
     """
     pd = primary_decomposition(g)
     n = pd.free_rank + 1
@@ -575,126 +529,3 @@ def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
 def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tor over Z: vanishes against free groups, Tor(Z/m, Z/n) = Z/gcd(m, n)."""
     return FgAbelianGroup.from_orders(*_tor_orders(a, b))
-
-
-# ---------------------------------------------------------------------------
-# brute-force summand oracle on an explicit finite model
-
-DEFAULT_BRUTE_FORCE_LIMIT = 256
-
-
-class _FiniteModel:
-    """A finite abelian group materialized as {0..n-1} with an addition table.
-
-    Elements are tuples over the cyclic moduli, encoded mixed-radix so
-    subgroup sets are plain frozensets of small ints.
-    """
-
-    def __init__(self, moduli: tuple[int, ...]):
-        self.moduli = moduli
-        elements = list(itertools.product(*(range(m) for m in moduli)))
-        self.size = len(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        self.add = [
-            [
-                index[tuple((x + y) % m for x, y, m in zip(ea, eb, moduli))]
-                for eb in elements
-            ]
-            for ea in elements
-        ]
-        self.element_order = [
-            math.lcm(*(m // math.gcd(m, x) for x, m in zip(e, moduli)), 1)
-            for e in elements
-        ]
-        self.zero = index[tuple(0 for _ in moduli)]
-
-    def extend(self, subgroup: frozenset[int], x: int) -> frozenset[int]:
-        """Closure of ``subgroup`` together with one extra element."""
-        multiples = []
-        y = x
-        while y not in subgroup:
-            multiples.append(y)
-            y = self.add[y][x]
-        new = set(subgroup)
-        for k in multiples:
-            row = self.add[k]
-            new.update(row[s] for s in subgroup)
-        return frozenset(new)
-
-    def all_subgroups(self) -> list[frozenset[int]]:
-        start = frozenset((self.zero,))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for x in range(self.size):
-                    if x in sub:
-                        continue
-                    bigger = self.extend(sub, x)
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        nxt.append(bigger)
-            frontier = nxt
-        return list(seen)
-
-    def classify(self, subgroup: frozenset[int]) -> FgAbelianGroup:
-        """Invariant factors of a subgroup, read off from the counts of
-        solutions of p^j * x = 0 (which determine an abelian p-group)."""
-        n = len(subgroup)
-        if n == 1:
-            return TRIVIAL
-        orders: list[int] = []
-        for p in _factorint(n):
-            parts_ge = []
-            prev_log = 0
-            j = 1
-            while True:
-                c = sum(1 for x in subgroup if p**j % self.element_order[x] == 0)
-                log = _factorint(c).get(p, 0) if c > 1 else 0
-                ge = log - prev_log
-                if ge == 0:
-                    break
-                parts_ge.append(ge)
-                prev_log = log
-                j += 1
-            for idx, ge in enumerate(parts_ge):
-                nxt = parts_ge[idx + 1] if idx + 1 < len(parts_ge) else 0
-                orders.extend([p ** (idx + 1)] * (ge - nxt))
-        return FgAbelianGroup.from_orders(*orders)
-
-
-def brute_force_summands(
-    g: FgAbelianGroup, max_order: int = DEFAULT_BRUTE_FORCE_LIMIT
-) -> list[FgAbelianGroup]:
-    """Direct-summand classes found by exhaustive search.
-
-    Materializes the group, enumerates every subgroup, keeps the ones
-    that admit a complement (trivial intersection with a subgroup of
-    complementary order), and classifies survivors up to isomorphism.
-    This is the validation oracle for :func:`count_direct_summands`;
-    it refuses infinite groups and groups above ``max_order``.
-    """
-    n = g.order()
-    if n is None:
-        raise SizeLimitError("brute-force summand search needs a finite group")
-    if n > max_order:
-        raise SizeLimitError(f"group order {n} exceeds the brute-force limit {max_order}")
-
-    model = _FiniteModel(g.invariant_factors)
-    subgroups = model.all_subgroups()
-    by_size: dict[int, list[frozenset[int]]] = defaultdict(list)
-    for sub in subgroups:
-        by_size[len(sub)].append(sub)
-
-    found: set[FgAbelianGroup] = set()
-    for sub in subgroups:
-        cls = model.classify(sub)
-        if cls in found:
-            continue
-        # |H| * |K| = |G| with trivial intersection forces H + K = G
-        for other in by_size[n // len(sub)]:
-            if len(sub & other) == 1:
-                found.add(cls)
-                break
-    return sorted(found, key=group_sort_key)

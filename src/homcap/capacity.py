@@ -34,6 +34,7 @@ from .spaces import (
     Product,
     SpaceExpr,
     Sphere,
+    UnsupportedSpaceError,
     Wedge,
     _dimension,
     _graded,
@@ -42,7 +43,6 @@ from .spaces import (
     canonicalize,
     homological_dimension,
     homology_profile,
-    is_homology_supported,
     space_sort_key,
     wedge,
 )
@@ -173,10 +173,10 @@ class Rule:
 def classify(space: SpaceExpr) -> Rule:
     """Canonicalize the space once and settle its capacity.
 
-    Finite for the settled families, a lower bound for products, and
-    Unknown elsewhere (CP^n with n >= 3, circles wedged with torsion,
-    wedges involving products/CP/K spaces, ...); dominated types are
-    enumerable exactly where the count is finite.
+    Finite for the settled families, a lower bound for products of
+    factors with tabled homology, and Unknown elsewhere (CP^n, n >= 3,
+    circles wedged with torsion, wedges with products/CP/K spaces, ...);
+    dominated types are enumerable exactly where the count is finite.
     """
     canon = canonicalize(space)
     groups, parts = _moore_wedge_groups(canon), _moore_parts
@@ -192,8 +192,11 @@ def classify(space: SpaceExpr) -> Rule:
         )
     if canon == ComplexProjective(2):
         return Rule(canon, ExtendedCount.finite(2), enumerator=lambda: [POINT, canon])
-    if isinstance(canon, Product) and is_homology_supported(canon):
-        return Rule(canon, ExtendedCount.lower_bound(_distinguishable_subproducts(canon)))
+    if isinstance(canon, Product):
+        try:
+            return Rule(canon, ExtendedCount.lower_bound(_distinguishable_subproducts(canon)))
+        except UnsupportedSpaceError:
+            pass  # a factor outside the homology table
     return Rule(canon, ExtendedCount.unknown())
 
 
@@ -213,11 +216,12 @@ def _distinguishable_subproducts(prod: Product) -> int:
     # homology can tell apart gives a certified lower bound.  Equal factors
     # give equal sub-products, so only the prod(m_i + 1) sub-multisets of
     # the sorted factors are built, each one Kunneth step from its parent.
+    # Every step comes first: an untabled factor raises before any Kunneth.
     dims = [_dimension(c) for c in prod.children]
     bound = max(DEFAULT_COMPARISON_FLOOR, sum(d for d in dims if d is not None))
+    steps = [(_graded(f, bound), len(list(run))) for f, run in itertools.groupby(prod.children)]
     profiles = [{0: Z}]
-    for factor, run in itertools.groupby(prod.children):
-        step, copies = _graded(factor, bound), len(list(run))
+    for step, copies in steps:
         grown = []
         for graded in profiles:
             for _ in range(copies):

@@ -51,7 +51,6 @@ __all__ = [
     "homology",
     "homology_profile",
     "homological_dimension",
-    "is_homology_supported",
     "fundamental_group_free_rank",
 ]
 
@@ -252,21 +251,6 @@ def _em_supported(space: EilenbergMacLane) -> bool:
     return (n == 1 and g.is_finite() and g.is_cyclic() and not g.is_trivial()) or (
         n == 2 and g == Z
     )
-
-
-def is_homology_supported(space: SpaceExpr) -> bool:
-    """True when every Eilenberg-MacLane node sits in the homology table
-    (finite cyclic in degree 1, or Z in degree 2)."""
-    space = canonicalize(space)
-
-    def walk(node: SpaceExpr) -> bool:
-        if isinstance(node, EilenbergMacLane):
-            return _em_supported(node)
-        if isinstance(node, (Wedge, Product)):
-            return all(walk(c) for c in node.children)
-        return True
-
-    return walk(space)
 
 
 def _kunneth(

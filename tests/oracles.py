@@ -6,8 +6,10 @@ generator-image search instead of canonical forms, explicit relation
 matrices instead of gcd rules, dense degree lists with one canonical
 group per tensor/Tor piece instead of sparse graded maps, a fresh
 Kunneth fold for each of the 2^k sub-products instead of a walk over
-sub-multisets, and invariant factors recombined from prime powers found
-by trial division instead of a gcd/lcm chain.
+sub-multisets, invariant factors recombined from prime powers found by
+trial division instead of a gcd/lcm chain, and direct summands found by
+searching every subgroup of an explicit finite model instead of counting
+multiplicities in the primary decomposition.
 """
 
 from __future__ import annotations
@@ -36,6 +38,33 @@ from homcap import (
     tensor,
     tor,
 )
+from homcap.abelian import group_sort_key
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def determinant_divisor_diagonal(m: IntMatrix) -> list[int]:
@@ -53,7 +82,7 @@ def determinant_divisor_diagonal(m: IntMatrix) -> list[int]:
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
                 sub = IntMatrix.from_rows([[m.at(i, j) for j in cols] for i in rows])
-                g = math.gcd(g, sub.det())
+                g = math.gcd(g, det(sub))
         if g == 0:
             break
         diag.append(g // prev)
@@ -207,6 +236,113 @@ def factoring_canonical(rank: int, orders) -> FgAbelianGroup:
         for slot in itertools.zip_longest(*columns, fillvalue=0)
     ]
     return FgAbelianGroup(rank, tuple(sorted(f for f in factors if f > 1)))
+
+
+class _FiniteModel:
+    """A finite abelian group materialized as {0..n-1} with an addition table.
+
+    Elements are tuples over the cyclic moduli, encoded mixed-radix so
+    subgroup sets are plain frozensets of small ints.
+    """
+
+    def __init__(self, moduli: tuple[int, ...]):
+        elements = list(itertools.product(*(range(m) for m in moduli)))
+        self.size = len(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        self.add = [
+            [
+                index[tuple((x + y) % m for x, y, m in zip(ea, eb, moduli))]
+                for eb in elements
+            ]
+            for ea in elements
+        ]
+        self.element_order = [
+            math.lcm(*(m // math.gcd(m, x) for x, m in zip(e, moduli)), 1)
+            for e in elements
+        ]
+        self.zero = index[tuple(0 for _ in moduli)]
+
+    def extend(self, subgroup: frozenset[int], x: int) -> frozenset[int]:
+        """Closure of ``subgroup`` together with one extra element."""
+        multiples = []
+        y = x
+        while y not in subgroup:
+            multiples.append(y)
+            y = self.add[y][x]
+        new = set(subgroup)
+        for k in multiples:
+            row = self.add[k]
+            new.update(row[s] for s in subgroup)
+        return frozenset(new)
+
+    def all_subgroups(self) -> list[frozenset[int]]:
+        start = frozenset((self.zero,))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for sub in frontier:
+                for x in range(self.size):
+                    if x in sub:
+                        continue
+                    bigger = self.extend(sub, x)
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.append(bigger)
+            frontier = nxt
+        return list(seen)
+
+    def classify(self, subgroup: frozenset[int]) -> FgAbelianGroup:
+        """Invariant factors of a subgroup, read off from the counts of
+        solutions of p^j * x = 0 (which determine an abelian p-group)."""
+        orders: list[int] = []
+        for p in trial_factorint(len(subgroup)):
+            parts_ge = []
+            prev_log = 0
+            j = 1
+            while True:
+                c = sum(1 for x in subgroup if p**j % self.element_order[x] == 0)
+                log = trial_factorint(c).get(p, 0)
+                ge = log - prev_log
+                if ge == 0:
+                    break
+                parts_ge.append(ge)
+                prev_log = log
+                j += 1
+            for idx, ge in enumerate(parts_ge):
+                nxt = parts_ge[idx + 1] if idx + 1 < len(parts_ge) else 0
+                orders.extend([p ** (idx + 1)] * (ge - nxt))
+        return factoring_canonical(0, orders)
+
+
+def brute_force_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
+    """Direct-summand classes of a finite group found by exhaustive search.
+
+    Materializes the group, enumerates every subgroup, keeps the ones
+    that admit a complement (trivial intersection with a subgroup of
+    complementary order), and classifies survivors up to isomorphism.
+    The addition table alone has order^2 entries; use on small groups only.
+    """
+    n = g.order()
+    if n is None:
+        raise ValueError("brute-force summand search needs a finite group")
+    model = _FiniteModel(g.invariant_factors)
+    subgroups = model.all_subgroups()
+    by_size: dict[int, list[frozenset[int]]] = defaultdict(list)
+    for sub in subgroups:
+        by_size[len(sub)].append(sub)
+
+    found: set[FgAbelianGroup] = set()
+    for sub in subgroups:
+        cls = model.classify(sub)
+        if cls in found:
+            continue
+        # |H| * |K| = |G| with trivial intersection forces H + K = G
+        for other in by_size[n // len(sub)]:
+            if len(sub & other) == 1:
+                found.add(cls)
+                break
+    return sorted(found, key=group_sort_key)
 
 
 def all_abelian_groups_of_order(n: int) -> list[FgAbelianGroup]:

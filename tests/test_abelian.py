@@ -5,23 +5,21 @@ from homcap import (
     Z,
     FgAbelianGroup,
     IntMatrix,
-    SizeLimitError,
-    brute_force_summands,
     count_direct_summands,
     cyclic,
     direct_sum,
     enumerate_direct_summands,
-    free,
     from_presentation,
-    is_isomorphic,
     primary_decomposition,
     smith_normal_form,
     tensor,
     tor,
 )
 from oracles import (
+    brute_force_summands,
     bruteforce_bijection_isomorphic,
     bruteforce_isomorphic,
+    det,
     determinant_divisor_diagonal,
     tensor_by_presentation,
     tor_of_cyclics_by_kernel,
@@ -31,8 +29,8 @@ from oracles import (
 def snf_is_valid(m):
     u, d, v = smith_normal_form(m)
     assert u @ m @ v == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     diag = d.diagonal_entries()
     for i in range(d.rows):
         for j in range(d.cols):
@@ -110,10 +108,10 @@ class TestIntMatrix:
             IntMatrix(-1, 2, ())
 
     def test_det(self):
-        assert IntMatrix.from_rows([[2, 4], [6, 8]]).det() == -8
-        assert IntMatrix.identity(4).det() == 1
-        assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
-        assert IntMatrix(0, 0, ()).det() == 1
+        assert det(IntMatrix.from_rows([[2, 4], [6, 8]])) == -8
+        assert det(IntMatrix.identity(4)) == 1
+        assert det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
+        assert det(IntMatrix(0, 0, ())) == 1
 
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -143,7 +141,7 @@ class TestCanonicalForm:
     def test_literal_rendering(self):
         assert str(TRIVIAL) == "0"
         assert str(Z) == "Z"
-        assert str(free(3)) == "Z^3"
+        assert str(FgAbelianGroup(3)) == "Z^3"
         assert str(FgAbelianGroup(2, (4, 12))) == "Z^2 + Z/4 + Z/12"
 
     def test_order(self):
@@ -163,27 +161,27 @@ class TestPresentations:
         assert bruteforce_bijection_isomorphic((2, 3), (6,))
 
     def test_no_relations(self):
-        assert from_presentation(IntMatrix.zeros(2, 0)) == free(2)
+        assert from_presentation(IntMatrix.zeros(2, 0)) == FgAbelianGroup(2)
 
     def test_surplus_zero_relations(self):
         g = from_presentation(IntMatrix.from_rows([[4, 0], [0, 0]]))
         assert g == FgAbelianGroup(1, (4,))
 
     def test_round_trip_through_presentation_matrix(self):
-        for g in [TRIVIAL, Z, cyclic(6), FgAbelianGroup(2, (2, 4)), free(3)]:
+        for g in [TRIVIAL, Z, cyclic(6), FgAbelianGroup(2, (2, 4)), FgAbelianGroup(3)]:
             assert from_presentation(g.presentation_matrix()) == g
 
 
 class TestIsomorphismAndSums:
     def test_reflexive(self):
-        assert is_isomorphic(Z, Z)
+        assert Z == Z
 
     def test_crt_pair(self):
-        assert is_isomorphic(FgAbelianGroup.from_orders(2, 3), cyclic(6))
+        assert FgAbelianGroup.from_orders(2, 3) == cyclic(6)
         assert bruteforce_bijection_isomorphic((2, 3), (6,))
 
     def test_free_vs_torsion(self):
-        assert not is_isomorphic(Z, cyclic(2))
+        assert Z != cyclic(2)
 
     def test_direct_sum_identity(self):
         assert direct_sum(Z, TRIVIAL) == Z
@@ -212,11 +210,11 @@ class TestPrimaryDecomposition:
         assert pd.as_dict() == {(2, 1): 1, (2, 2): 1}
 
     def test_free(self):
-        pd = primary_decomposition(free(2))
+        pd = primary_decomposition(FgAbelianGroup(2))
         assert pd.free_rank == 2 and pd.components == ()
 
     def test_round_trip(self):
-        for g in [TRIVIAL, Z, cyclic(12), FgAbelianGroup(1, (2, 2, 4)), free(2)]:
+        for g in [TRIVIAL, Z, cyclic(12), FgAbelianGroup(1, (2, 2, 4)), FgAbelianGroup(2)]:
             assert primary_decomposition(g).to_group() == g
 
 
@@ -238,7 +236,7 @@ class TestSummandCounting:
         ]
 
     def test_mixed_rank(self):
-        assert count_direct_summands(direct_sum(free(2), cyclic(6))) == 12
+        assert count_direct_summands(direct_sum(FgAbelianGroup(2), cyclic(6))) == 12
 
     def test_enumerate_infinite_cyclic(self):
         assert enumerate_direct_summands(Z) == [TRIVIAL, Z]
@@ -247,7 +245,7 @@ class TestSummandCounting:
         assert enumerate_direct_summands(TRIVIAL) == [TRIVIAL]
 
     def test_enumeration_matches_count(self):
-        for g in [cyclic(12), FgAbelianGroup(1, (2, 2, 4)), free(3), cyclic(30)]:
+        for g in [cyclic(12), FgAbelianGroup(1, (2, 2, 4)), FgAbelianGroup(3), cyclic(30)]:
             classes = enumerate_direct_summands(g)
             assert len(classes) == count_direct_summands(g)
             assert len(set(classes)) == len(classes)
@@ -266,17 +264,8 @@ class TestBruteForceOracle:
         assert brute_force_summands(TRIVIAL) == [TRIVIAL]
 
     def test_rejects_infinite(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError):
             brute_force_summands(Z)
-
-    def test_rejects_over_bound(self):
-        with pytest.raises(SizeLimitError):
-            brute_force_summands(cyclic(512))
-        # but the bound is configurable
-        assert brute_force_summands(cyclic(512), max_order=512) == [
-            TRIVIAL,
-            cyclic(512),
-        ]
 
     def test_agrees_with_formula_on_awkward_groups(self):
         for g in [
@@ -301,10 +290,10 @@ class TestTensorAndTor:
         assert tensor_by_presentation(cyclic(4), cyclic(6)) == cyclic(2)
 
     def test_tensor_free_ranks_multiply(self):
-        assert tensor(free(2), free(3)) == free(6)
+        assert tensor(FgAbelianGroup(2), FgAbelianGroup(3)) == FgAbelianGroup(6)
 
     def test_tensor_against_presentation_oracle(self):
-        groups = [TRIVIAL, Z, cyclic(4), cyclic(6), FgAbelianGroup(1, (2,)), free(2)]
+        groups = [TRIVIAL, Z, cyclic(4), cyclic(6), FgAbelianGroup(1, (2,)), FgAbelianGroup(2)]
         for a in groups:
             for b in groups:
                 assert tensor(a, b) == tensor_by_presentation(a, b)
@@ -312,7 +301,7 @@ class TestTensorAndTor:
     def test_tor_free_first_argument(self):
         for g in [TRIVIAL, Z, cyclic(6), FgAbelianGroup(2, (2, 4))]:
             assert tor(Z, g) == TRIVIAL
-            assert tor(free(3), g) == TRIVIAL
+            assert tor(FgAbelianGroup(3), g) == TRIVIAL
 
     def test_tor_gcd_with_kernel_oracle(self):
         for m, n in [(4, 6), (9, 27), (5, 7), (12, 18)]:

@@ -23,7 +23,6 @@ from homcap import (
     Product,
     Sphere,
     Wedge,
-    brute_force_summands,
     canonicalize,
     capacity,
     capacity_two_complex,
@@ -37,7 +36,7 @@ from homcap import (
 )
 from homcap.abelian import TRIVIAL
 from homcap.cli import main
-from oracles import all_abelian_groups_up_to
+from oracles import all_abelian_groups_up_to, brute_force_summands, det
 
 
 def criterion(number, description):
@@ -182,8 +181,8 @@ def test_snf_random_suite():
         )
         u, d, v = smith_normal_form(m)
         assert u @ m @ v == d
-        assert abs(u.det()) == 1
-        assert abs(v.det()) == 1
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
         diag = d.diagonal_entries()
         assert all(e >= 0 for e in diag)
         nonzero = [e for e in diag if e]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from homcap import (
@@ -21,7 +23,6 @@ from homcap import (
     cyclic,
     direct_sum,
     enumerate_dominated,
-    free,
     homology,
     homology_equivalent,
     wedge,
@@ -74,7 +75,8 @@ class TestCapacityDispatch:
     def test_moore_space(self):
         g = FgAbelianGroup(0, (2, 4))
         assert capacity(Moore(g, 3)) == ExtendedCount.finite(4)
-        assert capacity(Moore(direct_sum(free(2), cyclic(6)), 2)) == ExtendedCount.finite(12)
+        g = direct_sum(FgAbelianGroup(2), cyclic(6))
+        assert capacity(Moore(g, 2)) == ExtendedCount.finite(12)
 
     def test_moore_wedge_distinct_degrees(self):
         got = capacity(Wedge((Moore(cyclic(4), 2), Moore(cyclic(2), 3))))
@@ -92,7 +94,7 @@ class TestCapacityDispatch:
         assert capacity(KZ2) == ExtendedCount.finite(2)
         assert capacity(EilenbergMacLane(cyclic(6), 1)) == ExtendedCount.finite(4)
         assert capacity(EilenbergMacLane(cyclic(8), 3)) == ExtendedCount.finite(2)
-        assert capacity(EilenbergMacLane(free(2), 1)) == ExtendedCount.finite(3)
+        assert capacity(EilenbergMacLane(FgAbelianGroup(2), 1)) == ExtendedCount.finite(3)
 
     def test_complex_projective(self):
         assert capacity(CP2) == ExtendedCount.finite(2)
@@ -114,7 +116,21 @@ class TestCapacityDispatch:
         assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
 
     def test_product_with_unsupported_factor_unknown(self):
-        assert capacity(Product((S2, EilenbergMacLane(cyclic(6), 2)))) == ExtendedCount.unknown()
+        k62 = EilenbergMacLane(cyclic(6), 2)
+        for space in [
+            Product((S2, k62)),
+            Product((S2, Wedge((S3, k62)))),
+            Product((EilenbergMacLane(FgAbelianGroup(0, (2, 2)), 1), S2)),
+        ]:
+            assert capacity(space) == ExtendedCount.unknown()
+
+    def test_unsupported_factor_is_found_before_the_product_walk(self):
+        # the fourteen spheres alone would walk 2^14 sub-products (seconds);
+        # more spheres would make a regression cost memory, not a failure
+        start = time.perf_counter()
+        space = Product(tuple(Sphere(n) for n in range(2, 16)) + (EilenbergMacLane(cyclic(6), 2),))
+        assert capacity(space) == ExtendedCount.unknown()
+        assert time.perf_counter() - start < 1.0
 
     def test_wedge_with_cp2_unknown(self):
         assert capacity(Wedge((S2, CP2))) == ExtendedCount.unknown()
@@ -179,7 +195,7 @@ class TestEnumerateDominated:
     def test_length_matches_capacity(self):
         spaces = [
             Wedge((S1, S1, S4)),
-            Moore(direct_sum(free(1), cyclic(12)), 3),
+            Moore(direct_sum(FgAbelianGroup(1), cyclic(12)), 3),
             EilenbergMacLane(cyclic(12), 1),
             Sphere(6),
         ]
