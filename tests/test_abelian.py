@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from homcap import (
@@ -74,6 +76,19 @@ class TestSmithNormalForm:
             [[5, 10, 15]],
             [[-3], [9], [0]],
             [[12, 8], [20, 14], [6, 2]],
+            # balanced quotients: entries at exactly +-d/2 round to a tie
+            [[4, 2], [-2, 6]],
+            [[2, 1, -1], [1, 2, 1]],
+            [[6, 3, -3], [-3, 9, 3], [3, -3, 12]],
+            # all-negative columns
+            [[-4, 3], [-6, 5], [-10, 1]],
+            [[-3, -6], [-9, -4]],
+            # single rows and columns
+            [[4, -6, 10, -2]],
+            [[6], [-9], [15], [3]],
+            # entries past 64 bits
+            [[2**70 + 1, -(2**70 + 1)], [2**70 + 1, 2]],
+            [[-(2**70 + 1), 4, 6], [2, 2**70 + 1, -(2**70 + 1)]],
         ],
     )
     def test_agrees_with_determinant_divisors(self, rows):
@@ -83,6 +98,27 @@ class TestSmithNormalForm:
         nonzero = [e for e in diag if e]
         expected = FgAbelianGroup(m.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
         assert from_presentation(m) == expected
+
+    @pytest.mark.parametrize("shape", [(20, 20), (12, 30), (30, 12)])
+    def test_disguised_presentations_at_benchmark_scale(self, shape):
+        # a known diagonal hidden by random row and column additions must
+        # come back from both entry points
+        nr, nc = shape
+        rng = random.Random(sum(shape))
+        for chain in [(2, 6, 30), (3, 3, 12), (4,), (), (5, 10, 10, 20, 60)]:
+            for zeros in range(3):
+                diag = [1] * (min(shape) - len(chain) - zeros) + list(chain) + [0] * zeros
+                a = IntMatrix.diagonal(diag, nr, nc).to_rows()
+                for _ in range(2 * nr):
+                    (i, j), c = rng.sample(range(nr), 2), rng.choice((-1, 1))
+                    a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+                for _ in range(2 * nc):
+                    (i, j), c = rng.sample(range(nc), 2), rng.choice((-1, 1))
+                    for row in a:
+                        row[i] += c * row[j]
+                m = IntMatrix.from_rows(a)
+                assert from_presentation(m) == FgAbelianGroup(nr - min(shape) + zeros, chain)
+                assert snf_is_valid(m) == diag
 
     def test_empty_shapes(self):
         for rows, cols in [(2, 0), (0, 3), (0, 0)]:

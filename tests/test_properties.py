@@ -49,12 +49,16 @@ from oracles import (
 # ---------------------------------------------------------------------------
 # strategies
 
-matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
-    lambda shape: st.lists(
-        st.integers(-50, 50),
-        min_size=shape[0] * shape[1],
-        max_size=shape[0] * shape[1],
-    ).map(lambda entries: IntMatrix(shape[0], shape[1], tuple(entries)))
+# entries within +-2 make many balanced-quotient ties, +-50 long Euclid
+# runs, and +-10^20 entries past machine words
+matrices = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.sampled_from((2, 50, 10**20))
+).flatmap(
+    lambda spec: st.lists(
+        st.integers(-spec[2], spec[2]),
+        min_size=spec[0] * spec[1],
+        max_size=spec[0] * spec[1],
+    ).map(lambda entries: IntMatrix(spec[0], spec[1], tuple(entries)))
 )
 
 torsion_classes = all_abelian_groups_up_to(24)
