@@ -24,8 +24,6 @@ from dataclasses import dataclass
 __all__ = [
     "IntMatrix",
     "FgAbelianGroup",
-    "PrimaryComponent",
-    "PrimaryDecomposition",
     "Z",
     "TRIVIAL",
     "cyclic",
@@ -96,6 +94,8 @@ class IntMatrix:
         return cls(rows, cols, tuple(entries))
 
     def at(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) is outside the {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
@@ -280,10 +280,6 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _factorint(n) == {n: 1}
-
-
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """A finitely generated abelian group, canonically presented.
@@ -432,52 +428,14 @@ def group_sort_key(g: FgAbelianGroup) -> tuple:
 # primary decomposition and direct summands
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
-    prime: int
-    exponent: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    """The decomposition into indecomposables: Z^free_rank plus, for each
-    (prime, exponent), ``multiplicity`` copies of Z/p^e."""
-
-    free_rank: int
-    components: tuple[PrimaryComponent, ...]
-
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        keys = [(c.prime, c.exponent) for c in self.components]
-        if keys != sorted(set(keys)):
-            raise ValueError("components must be strictly sorted by (prime, exponent)")
-        for c in self.components:
-            if not _is_prime(c.prime):
-                raise ValueError(f"{c.prime} is not prime")
-            if c.exponent < 1 or c.multiplicity < 1:
-                raise ValueError("exponents and multiplicities must be >= 1")
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(c.prime, c.exponent): c.multiplicity for c in self.components}
-
-    def to_group(self) -> FgAbelianGroup:
-        return _canonical(
-            self.free_rank,
-            [c.prime**c.exponent for c in self.components for _ in range(c.multiplicity)],
-        )
-
-
-def primary_decomposition(g: FgAbelianGroup) -> PrimaryDecomposition:
+def primary_decomposition(g: FgAbelianGroup) -> dict[tuple[int, int], int]:
+    """The torsion of ``g`` split into indecomposables: {(p, e): m} for m
+    copies of Z/p^e, sorted by (p, e).  The free part is ``g.free_rank``."""
     counts: dict[tuple[int, int], int] = defaultdict(int)
     for d in g.invariant_factors:
         for p, e in _factorint(d).items():
             counts[(p, e)] += 1
-    comps = tuple(
-        PrimaryComponent(p, e, m) for (p, e), m in sorted(counts.items())
-    )
-    return PrimaryDecomposition(g.free_rank, comps)
+    return dict(sorted(counts.items()))
 
 
 def count_direct_summands(g: FgAbelianGroup) -> int:
@@ -489,22 +447,16 @@ def count_direct_summands(g: FgAbelianGroup) -> int:
     The brute-force oracle in ``tests/oracles.py`` validates this on
     small groups.
     """
-    pd = primary_decomposition(g)
-    n = pd.free_rank + 1
-    for c in pd.components:
-        n *= c.multiplicity + 1
-    return n
+    return (g.free_rank + 1) * math.prod(m + 1 for m in primary_decomposition(g).values())
 
 
 def enumerate_direct_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
     """All isomorphism classes of direct summands, deterministically ordered."""
-    pd = primary_decomposition(g)
+    pieces = primary_decomposition(g)
     out = []
-    for rank in range(pd.free_rank + 1):
-        for picks in itertools.product(*(range(c.multiplicity + 1) for c in pd.components)):
-            orders = [
-                c.prime**c.exponent for c, take in zip(pd.components, picks) for _ in range(take)
-            ]
+    for rank in range(g.free_rank + 1):
+        for picks in itertools.product(*(range(m + 1) for m in pieces.values())):
+            orders = [p**e for (p, e), take in zip(pieces, picks) for _ in range(take)]
             out.append(_canonical(rank, orders))
     return sorted(out, key=group_sort_key)
 

@@ -43,6 +43,7 @@ from .spaces import (
     canonicalize,
     homological_dimension,
     homology_profile,
+    product,
     space_sort_key,
     wedge,
 )
@@ -217,8 +218,9 @@ def _distinguishable_subproducts(prod: Product) -> int:
     # give equal sub-products, so only the prod(m_i + 1) sub-multisets of
     # the sorted factors are built, each one Kunneth step from its parent.
     # Every step comes first: an untabled factor raises before any Kunneth.
-    dims = [_dimension(c) for c in prod.children]
-    bound = max(DEFAULT_COMPARISON_FLOOR, sum(d for d in dims if d is not None))
+    bound = default_comparison_bound(
+        product(*(c for c in prod.children if _dimension(c) is not None))
+    )
     steps = [(_graded(f, bound), len(list(run))) for f, run in itertools.groupby(prod.children)]
     profiles = [{0: Z}]
     for step, copies in steps:

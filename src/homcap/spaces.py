@@ -210,14 +210,16 @@ def canonicalize(space: SpaceExpr) -> SpaceExpr:
         if space.group == Z and space.degree == 1:
             return Sphere(1)
         return space
-    if isinstance(space, Wedge):
+    if isinstance(space, (Wedge, Product)):
         flat: list[SpaceExpr] = []
         for child in space.children:
             child = canonicalize(child)
-            if isinstance(child, Wedge):
+            if isinstance(child, type(space)):
                 flat.extend(child.children)
             elif not isinstance(child, Point):
                 flat.append(child)
+        if isinstance(space, Product):
+            return product(*sorted(flat, key=space_sort_key))
         # same-degree Moore children merge (M(A,n) v M(B,n) is M(A+B, n)),
         # so a canonical wedge has at most one torsion Moore space per degree
         torsion_by_degree: dict[int, FgAbelianGroup] = {}
@@ -230,15 +232,6 @@ def canonicalize(space: SpaceExpr) -> SpaceExpr:
                 rest.append(child)
         rest.extend(Moore(g, n) for n, g in torsion_by_degree.items())
         return wedge(*sorted(rest, key=space_sort_key))
-    if isinstance(space, Product):
-        flat = []
-        for child in space.children:
-            child = canonicalize(child)
-            if isinstance(child, Product):
-                flat.extend(child.children)
-            elif not isinstance(child, Point):
-                flat.append(child)
-        return product(*sorted(flat, key=space_sort_key))
     raise TypeError(f"not a space expression: {space!r}")
 
 
@@ -355,6 +348,8 @@ class HomologyProfile:
         return len(self.groups) - 1
 
     def group(self, n: int) -> FgAbelianGroup:
+        if n < 0:
+            raise ValueError("homology degree must be >= 0")
         if n <= self.bound:
             return self.groups[n]
         if self.exact_above_bound:

@@ -149,6 +149,13 @@ class TestIntMatrix:
         assert det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
         assert det(IntMatrix(0, 0, ())) == 1
 
+    def test_at_checks_its_indices(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert m.at(1, 0) == 4 and m.at(1, 2) == 6
+        for i, j in [(0, 3), (-1, 0), (2, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                m.at(i, j)
+
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert a @ IntMatrix.identity(2) == a
@@ -238,20 +245,18 @@ class TestIsomorphismAndSums:
 
 class TestPrimaryDecomposition:
     def test_six(self):
-        pd = primary_decomposition(cyclic(6))
-        assert pd.as_dict() == {(2, 1): 1, (3, 1): 1}
+        assert primary_decomposition(cyclic(6)) == {(2, 1): 1, (3, 1): 1}
 
     def test_two_group(self):
-        pd = primary_decomposition(FgAbelianGroup(0, (2, 4)))
-        assert pd.as_dict() == {(2, 1): 1, (2, 2): 1}
+        assert primary_decomposition(FgAbelianGroup(0, (2, 4))) == {(2, 1): 1, (2, 2): 1}
 
     def test_free(self):
-        pd = primary_decomposition(FgAbelianGroup(2))
-        assert pd.free_rank == 2 and pd.components == ()
+        assert primary_decomposition(FgAbelianGroup(2)) == {}
 
     def test_round_trip(self):
         for g in [TRIVIAL, Z, cyclic(12), FgAbelianGroup(1, (2, 2, 4)), FgAbelianGroup(2)]:
-            assert primary_decomposition(g).to_group() == g
+            pieces = [p**e for (p, e), m in primary_decomposition(g).items() for _ in range(m)]
+            assert FgAbelianGroup.from_orders(*pieces, *[0] * g.free_rank) == g
 
 
 class TestSummandCounting:

@@ -114,6 +114,10 @@ class TestCapacityDispatch:
         space = Product((S4, Sphere(8), wedge(S4, Sphere(8))))
         assert capacity(space) == ExtendedCount.lower_bound(8)
         assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
+        # a K factor has no dimension, but the finite ones still sum to 20
+        space = Product((S4, Sphere(8), KZ2, wedge(S4, Sphere(8))))
+        assert capacity(space) == ExtendedCount.lower_bound(16)
+        assert capacity(space) == ExtendedCount.lower_bound(subset_product_bound(space))
 
     def test_product_with_unsupported_factor_unknown(self):
         k62 = EilenbergMacLane(cyclic(6), 2)

@@ -5,7 +5,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homcap import (
@@ -32,6 +32,7 @@ from homcap import (
     homology,
     homology_profile,
     parse_space,
+    primary_decomposition,
     render_space,
     smith_normal_form,
     tensor,
@@ -44,6 +45,7 @@ from oracles import (
     dense_homology,
     det,
     subset_product_bound,
+    trial_factorint,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,21 @@ def test_tensor_and_tor_commute(a, b):
 def test_tor_vanishes_on_torsion_free(g):
     assert tor(FgAbelianGroup(2), g) == TRIVIAL
     assert tor(g, Z) == TRIVIAL
+
+
+# orders whose prime cofactor, 2^31 - 1 or 1000003, lies past _TRIAL_LIMIT;
+# every prime stays below 10^10 so the trial-division oracle is quick
+@given(groups)
+@example(cyclic(1009 * (2**31 - 1)))
+@example(cyclic(2**5 * 3**2 * 1_000_003))
+@example(FgAbelianGroup.from_orders(0, 1009 * (2**31 - 1), 2**5 * 3**2 * 1_000_003))
+def test_primary_decomposition_matches_trial_division(g):
+    pieces = primary_decomposition(g)
+    assert list(pieces) == sorted(pieces)
+    for (p, e), m in pieces.items():
+        assert trial_factorint(p) == {p: 1} and e >= 1 and m >= 1
+    orders = [p**e for (p, e), m in pieces.items() for _ in range(m)]
+    assert FgAbelianGroup.from_orders(*orders, *[0] * g.free_rank) == g
 
 
 @given(st.sampled_from([g for g in torsion_classes if (g.order() or 0) <= 16]))

@@ -189,6 +189,9 @@ class TestProfiles:
         assert p.exact_above_bound
         assert p.bound == 3
         assert p.group(17) == TRIVIAL
+        for n in (-1, -4):
+            with pytest.raises(ValueError):
+                p.group(n)
 
     def test_cp2_profile(self):
         p = homology_profile(CP2, 4)
