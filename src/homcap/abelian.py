@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -55,75 +56,21 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+        rows, cols = operator.index(self.rows), operator.index(self.cols)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(int(e) for e in self.entries)
-        if len(entries) != self.rows * self.cols:
+        entries = tuple(map(operator.index, self.entries))
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs "
-                f"{self.rows * self.cols} entries, got {len(entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> IntMatrix:
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("rows have unequal lengths")
-        return cls(len(rows), ncols, tuple(e for row in rows for e in row))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values, rows: int | None = None, cols: int | None = None) -> IntMatrix:
-        values = list(values)
-        rows = len(values) if rows is None else rows
-        cols = len(values) if cols is None else cols
-        entries = [0] * (rows * cols)
-        for i, v in enumerate(values):
-            if i >= min(rows, cols):
-                raise ValueError("more diagonal values than the shape holds")
-            entries[i * cols + i] = v
-        return cls(rows, cols, tuple(entries))
-
-    def at(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) is outside the {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def diagonal_entries(self) -> list[int]:
-        return [self.at(i, i) for i in range(min(self.rows, self.cols))]
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.at(i, k)
-                if a == 0:
-                    continue
-                base = i * other.cols
-                krow = k * other.cols
-                for j in range(other.cols):
-                    out[base + j] += a * other.entries[krow + j]
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols} matrix>"
-        return "\n".join(" ".join(str(e) for e in row) for row in self.to_rows())
 
 
 def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
@@ -197,7 +144,7 @@ def _diagonalize(a: list[list[int]], nr: int, nc: int) -> None:
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Returns (u, d, v) with u @ m @ v == d exactly, u and v square with
+    Returns (u, d, v) with u·m·v = d exactly, u and v square with
     determinant +-1, and the diagonal of d a nonnegative chain
     d1 | d2 | ... with zeros trailing.  Each pivot is the least nonzero
     |entry| of the trailing block, and balanced quotients leave residues of
@@ -208,8 +155,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     # eliminate on [[M, I], [I, 0]]: the row operations build u in the
     # top-right block and the column operations build v in the bottom-left
     nr, nc = m.rows, m.cols
-    a = [row + e for row, e in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
-    a += [e + [0] * nr for e in IntMatrix.identity(nc).to_rows()]
+    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(m.to_rows())]
+    a += [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)]
     _diagonalize(a, nr, nc)
     return (
         IntMatrix(nr, nr, tuple(e for row in a[:nr] for e in row[nc:])),
@@ -293,15 +240,17 @@ class FgAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
+        rank = operator.index(self.free_rank)
+        if rank < 0:
             raise ValueError("free rank must be nonnegative")
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(map(operator.index, self.invariant_factors))
         for d in factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2 (drop trivial factors)")
         for lo, hi in zip(factors, factors[1:]):
             if hi % lo:
                 raise ValueError(f"invariant factors must chain: {lo} does not divide {hi}")
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
 
     @classmethod
@@ -319,25 +268,8 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def is_cyclic(self) -> bool:
-        return self.free_rank + len(self.invariant_factors) <= 1
-
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.free_rank:
-            return None
-        return math.prod(self.invariant_factors)
-
     def torsion(self) -> FgAbelianGroup:
         return FgAbelianGroup(0, self.invariant_factors)
-
-    def presentation_matrix(self) -> IntMatrix:
-        """A relation matrix whose cokernel is this group."""
-        k = len(self.invariant_factors)
-        return IntMatrix.diagonal(self.invariant_factors, rows=k + self.free_rank, cols=k)
 
     def __str__(self) -> str:
         # matches the group literal grammar: Z, Z/n, Z^r, 0, joined by +
@@ -362,7 +294,7 @@ def _canonical(rank: int, orders) -> FgAbelianGroup:
     # log2(max order) runs.
     runs: list[list[int]] = []
     for n in orders:
-        n = abs(int(n))
+        n = abs(operator.index(n))
         if n == 0:
             rank += 1
         k = 0

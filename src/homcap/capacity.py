@@ -43,7 +43,6 @@ from .spaces import (
     canonicalize,
     homological_dimension,
     homology_profile,
-    product,
     space_sort_key,
     wedge,
 )
@@ -218,9 +217,8 @@ def _distinguishable_subproducts(prod: Product) -> int:
     # give equal sub-products, so only the prod(m_i + 1) sub-multisets of
     # the sorted factors are built, each one Kunneth step from its parent.
     # Every step comes first: an untabled factor raises before any Kunneth.
-    bound = default_comparison_bound(
-        product(*(c for c in prod.children if _dimension(c) is not None))
-    )
+    dims = [_dimension(c) for c in prod.children]
+    bound = _floored(sum(d for d in dims if d is not None))
     steps = [(_graded(f, bound), len(list(run))) for f, run in itertools.groupby(prod.children)]
     profiles = [{0: Z}]
     for step, copies in steps:
@@ -245,7 +243,12 @@ def capacity_two_complex(r: int, s: int) -> ExtendedCount:
 def default_comparison_bound(*spaces: SpaceExpr) -> int:
     """Largest homological dimension among the finite-dimensional inputs,
     floored at DEFAULT_COMPARISON_FLOOR."""
-    dims = [homological_dimension(s) for s in spaces]
+    return _floored(*map(homological_dimension, spaces))
+
+
+def _floored(*dims: int | None) -> int:
+    # the largest finite dimension (None is unbounded and skipped), floored
+    # at DEFAULT_COMPARISON_FLOOR
     return max([DEFAULT_COMPARISON_FLOOR] + [d for d in dims if d is not None])
 
 

@@ -23,6 +23,8 @@ from .spaces import (
     SpaceExpr,
     Sphere,
     Wedge,
+    product,
+    wedge,
 )
 
 __all__ = [
@@ -165,14 +167,14 @@ class _Parser:
         while self.peek() == "v":
             self.take()
             children.append(self.product_expr())
-        return children[0] if len(children) == 1 else Wedge(tuple(children))
+        return wedge(*children)
 
     def product_expr(self) -> SpaceExpr:
         children = [self.atom()]
         while self.peek() == "x":
             self.take()
             children.append(self.atom())
-        return children[0] if len(children) == 1 else Product(tuple(children))
+        return product(*children)
 
     def atom(self) -> SpaceExpr:
         tok = self.peek()

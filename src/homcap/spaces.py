@@ -51,7 +51,6 @@ __all__ = [
     "homology",
     "homology_profile",
     "homological_dimension",
-    "fundamental_group_free_rank",
 ]
 
 
@@ -241,7 +240,7 @@ def canonicalize(space: SpaceExpr) -> SpaceExpr:
 
 def _em_supported(space: EilenbergMacLane) -> bool:
     g, n = space.group, space.degree
-    return (n == 1 and g.is_finite() and g.is_cyclic() and not g.is_trivial()) or (
+    return (n == 1 and g.free_rank == 0 and len(g.invariant_factors) == 1) or (
         n == 2 and g == Z
     )
 
@@ -356,9 +355,6 @@ class HomologyProfile:
             return TRIVIAL
         raise ValueError(f"degree {n} exceeds the computed bound {self.bound}")
 
-    def as_dict(self) -> dict[int, FgAbelianGroup]:
-        return dict(enumerate(self.groups))
-
 
 def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
     if bound < 0:
@@ -368,42 +364,3 @@ def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
     groups = tuple(graded.get(n, TRIVIAL) for n in range(bound + 1))
     dim = _dimension(canon)
     return HomologyProfile(groups, dim is not None and bound >= dim)
-
-
-# ---------------------------------------------------------------------------
-# fundamental group
-
-
-def fundamental_group_free_rank(space: SpaceExpr) -> int:
-    """Rank of the (free) fundamental group; 0 means simply connected.
-
-    Circles contribute 1 each through wedges; the other atomic families
-    in scope are simply connected.  Raises when the fundamental group is
-    not a finitely generated free group (torsion K(A, 1), or a product
-    with a non-simply-connected factor).
-    """
-    space = canonicalize(space)
-
-    def rank(node: SpaceExpr) -> int:
-        if isinstance(node, Sphere):
-            return 1 if node.dim == 1 else 0
-        if isinstance(node, (Point, Moore, ComplexProjective)):
-            return 0
-        if isinstance(node, EilenbergMacLane):
-            if node.degree >= 2:
-                return 0
-            raise UnsupportedSpaceError(
-                f"the fundamental group of K({node.group}, 1) is not free"
-            )
-        if isinstance(node, Wedge):
-            return sum(rank(c) for c in node.children)
-        if isinstance(node, Product):
-            if any(rank(c) for c in node.children):
-                raise UnsupportedSpaceError(
-                    "products with non-simply-connected factors are outside "
-                    "the scope of this computation"
-                )
-            return 0
-        raise TypeError(f"not a space expression: {node!r}")
-
-    return rank(space)

@@ -35,10 +35,48 @@ from homcap import (
     direct_sum,
     from_presentation,
     homological_dimension,
+    smith_normal_form,
     tensor,
     tor,
 )
 from homcap.abelian import group_sort_key
+
+
+def matrix(rows) -> IntMatrix:
+    """The matrix with the given rows, which must have equal lengths."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rows have unequal lengths")
+    return IntMatrix(len(rows), ncols, tuple(e for row in rows for e in row))
+
+
+def diagonal(values, rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with ``values`` down its diagonal."""
+    values = list(values)
+    assert len(values) <= min(rows, cols)
+    entries = [0] * (rows * cols)
+    for i, v in enumerate(values):
+        entries[i * cols + i] = v
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a·b, each entry a row of a dotted with a column of b."""
+    assert a.cols == b.rows
+    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(sum(x * y for x, y in zip(row, col)) for row in a.to_rows() for col in columns),
+    )
+
+
+def presentation_matrix(g: FgAbelianGroup) -> IntMatrix:
+    """A relation matrix whose cokernel is ``g``: the invariant factors on
+    the diagonal, and one zero row per copy of Z."""
+    k = len(g.invariant_factors)
+    return diagonal(g.invariant_factors, k + g.free_rank, k)
 
 
 def det(m: IntMatrix) -> int:
@@ -75,19 +113,36 @@ def determinant_divisor_diagonal(m: IntMatrix) -> list[int]:
     Exponential in the matrix size; use on small matrices only.
     """
     r = min(m.rows, m.cols)
+    a = m.to_rows()
     diag: list[int] = []
     prev = 1
     for k in range(1, r + 1):
         g = 0
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows([[m.at(i, j) for j in cols] for i in rows])
+                sub = matrix([[a[i][j] for j in cols] for i in rows])
                 g = math.gcd(g, det(sub))
         if g == 0:
             break
         diag.append(g // prev)
         prev = g
     diag.extend([0] * (r - len(diag)))
+    return diag
+
+
+def snf_is_valid(m: IntMatrix) -> list[int]:
+    """Check ``smith_normal_form(m)`` = (u, d, v): u·m·v = d, u and v have
+    determinant +-1, and d is diagonal with a nonnegative divisibility chain
+    whose zeros trail.  Returns the diagonal of d."""
+    u, d, v = smith_normal_form(m)
+    assert matmul(matmul(u, m), v) == d
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    diag = list(d.entries[:: d.cols + 1][: min(d.rows, d.cols)])
+    assert d == diagonal(diag, d.rows, d.cols), "off-diagonal entries must be zero"
+    nonzero = [e for e in diag if e]
+    assert all(e >= 0 for e in diag)
+    assert diag[: len(nonzero)] == nonzero, "zeros must trail"
+    assert all(hi % lo == 0 for lo, hi in zip(nonzero, nonzero[1:]))
     return diag
 
 
@@ -167,8 +222,8 @@ def tensor_by_presentation(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGro
     h_1..h_n, then A (x) B is presented on the g_i (x) h_j by the
     relations M (x) I and I (x) N.
     """
-    pm = a.presentation_matrix()
-    pn = b.presentation_matrix()
+    pm = presentation_matrix(a)
+    pn = presentation_matrix(b)
     m, n = pm.rows, pn.rows
     rows: list[list[int]] = [[] for _ in range(m * n)]
     # columns of M tensored with each identity basis vector of B's generators
@@ -176,14 +231,14 @@ def tensor_by_presentation(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGro
         for j in range(n):
             column = [0] * (m * n)
             for i in range(m):
-                column[i * n + j] = pm.at(i, col)
+                column[i * n + j] = pm.entries[i * pm.cols + col]
             for idx, val in enumerate(column):
                 rows[idx].append(val)
     for col in range(pn.cols):
         for i in range(m):
             column = [0] * (m * n)
             for j in range(n):
-                column[i * n + j] = pn.at(j, col)
+                column[i * n + j] = pn.entries[j * pn.cols + col]
             for idx, val in enumerate(column):
                 rows[idx].append(val)
     ncols = len(rows[0]) if rows else 0
@@ -323,9 +378,9 @@ def brute_force_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
     complementary order), and classifies survivors up to isomorphism.
     The addition table alone has order^2 entries; use on small groups only.
     """
-    n = g.order()
-    if n is None:
+    if g.free_rank:
         raise ValueError("brute-force summand search needs a finite group")
+    n = math.prod(g.invariant_factors)
     model = _FiniteModel(g.invariant_factors)
     subgroups = model.all_subgroups()
     by_size: dict[int, list[frozenset[int]]] = defaultdict(list)
@@ -405,7 +460,7 @@ def dense_homology(space, top: int) -> list[FgAbelianGroup]:
     elif isinstance(space, EilenbergMacLane):
         # only the supported table: K(Z/m, 1) and K(Z, 2)
         if space.degree == 1:
-            assert space.group.is_finite() and space.group.is_cyclic()
+            assert space.group.free_rank == 0 and len(space.group.invariant_factors) == 1
             for n in range(1, top + 1, 2):
                 groups[n] = space.group
         else:

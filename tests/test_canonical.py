@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from homcap import (
     FgAbelianGroup,
-    IntMatrix,
     Moore,
     Product,
     Sphere,
@@ -28,7 +27,7 @@ from homcap import (
 )
 from homcap.abelian import _MILLER_RABIN_EXACT, _factorint, _proven_prime
 from homcap.cli import main
-from oracles import determinant_divisor_diagonal, factoring_canonical, trial_factorint
+from oracles import determinant_divisor_diagonal, diagonal, factoring_canonical, trial_factorint
 
 # orders that share prime powers, the trivial and free orders, and signs
 SHARED = [0, 1, -1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36, 60, 72, 120, 360, -12, -60]
@@ -45,7 +44,7 @@ order_lists = st.one_of(
 
 
 def _diagonal_group(orders) -> FgAbelianGroup:
-    diag = determinant_divisor_diagonal(IntMatrix.diagonal(orders))
+    diag = determinant_divisor_diagonal(diagonal(orders, len(orders), len(orders)))
     return FgAbelianGroup(diag.count(0), tuple(d for d in diag if d > 1))
 
 

@@ -17,7 +17,6 @@ from homcap import (
     canonicalize,
     cyclic,
     direct_sum,
-    fundamental_group_free_rank,
     homological_dimension,
     homology,
     homology_profile,
@@ -208,9 +207,6 @@ class TestProfiles:
     def test_bound_below_dimension_is_not_exact(self):
         assert not homology_profile(S4, 2).exact_above_bound
 
-    def test_as_dict(self):
-        assert homology_profile(S1, 1).as_dict() == {0: Z, 1: Z}
-
 
 class TestDimensionsAndSupport:
     def test_dimensions(self):
@@ -232,28 +228,3 @@ class TestDimensionsAndSupport:
             homology(Wedge((S2, EilenbergMacLane(FgAbelianGroup(2), 1))), 0)
         # the trivial K-space canonicalizes to a point, which is supported
         assert homology(EilenbergMacLane(TRIVIAL, 3), 0) == Z
-
-
-class TestFundamentalGroup:
-    def test_wedge_of_circles(self):
-        assert fundamental_group_free_rank(Wedge((S1, S1, S2))) == 2
-
-    def test_simply_connected(self):
-        assert fundamental_group_free_rank(CP2) == 0
-        assert fundamental_group_free_rank(Moore(cyclic(4), 2)) == 0
-        assert fundamental_group_free_rank(KZ2) == 0
-        assert fundamental_group_free_rank(POINT) == 0
-
-    def test_torsion_k_space_rejected(self):
-        with pytest.raises(UnsupportedSpaceError):
-            fundamental_group_free_rank(EilenbergMacLane(cyclic(3), 1))
-
-    def test_circle_via_k_space(self):
-        assert fundamental_group_free_rank(EilenbergMacLane(Z, 1)) == 1
-
-    def test_product_with_circle_rejected(self):
-        with pytest.raises(UnsupportedSpaceError):
-            fundamental_group_free_rank(Product((S1, S2)))
-
-    def test_simply_connected_product(self):
-        assert fundamental_group_free_rank(Product((S2, S3))) == 0
