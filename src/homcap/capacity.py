@@ -40,9 +40,8 @@ from .spaces import (
     _graded,
     _kunneth,
     _moore_parts,
+    _profile,
     canonicalize,
-    homological_dimension,
-    homology_profile,
     space_sort_key,
     wedge,
 )
@@ -56,9 +55,7 @@ __all__ = [
     "capacity",
     "enumerate_dominated",
     "capacity_two_complex",
-    "homology_equivalent",
     "borsuk_report",
-    "default_comparison_bound",
     "DEFAULT_COMPARISON_FLOOR",
 ]
 
@@ -178,7 +175,11 @@ def classify(space: SpaceExpr) -> Rule:
     circles wedged with torsion, wedges with products/CP/K spaces, ...);
     dominated types are enumerable exactly where the count is finite.
     """
-    canon = canonicalize(space)
+    return _rule(canonicalize(space))
+
+
+def _rule(canon: SpaceExpr) -> Rule:
+    # the dispatch of classify, on a canonical space
     groups, parts = _moore_wedge_groups(canon), _moore_parts
     if isinstance(canon, EilenbergMacLane):
         groups = {canon.degree: canon.group}
@@ -240,28 +241,10 @@ def capacity_two_complex(r: int, s: int) -> ExtendedCount:
     return ExtendedCount.finite((r + 1) * (s + 1))
 
 
-def default_comparison_bound(*spaces: SpaceExpr) -> int:
-    """Largest homological dimension among the finite-dimensional inputs,
-    floored at DEFAULT_COMPARISON_FLOOR."""
-    return _floored(*map(homological_dimension, spaces))
-
-
 def _floored(*dims: int | None) -> int:
     # the largest finite dimension (None is unbounded and skipped), floored
     # at DEFAULT_COMPARISON_FLOOR
     return max([DEFAULT_COMPARISON_FLOOR] + [d for d in dims if d is not None])
-
-
-def homology_equivalent(
-    space_x: SpaceExpr, space_y: SpaceExpr, bound: int | None = None
-) -> tuple[bool, bool]:
-    """(agrees, exact): degreewise isomorphism up to ``bound``, and whether
-    both profiles certify triviality above it (making agreement total)."""
-    if bound is None:
-        bound = default_comparison_bound(space_x, space_y)
-    px = homology_profile(space_x, bound)
-    py = homology_profile(space_y, bound)
-    return px.groups == py.groups, px.exact_above_bound and py.exact_above_bound
 
 
 @dataclass(frozen=True)
@@ -283,14 +266,19 @@ class CounterexampleReport:
 def borsuk_report(
     space_x: SpaceExpr, space_y: SpaceExpr, bound: int | None = None
 ) -> CounterexampleReport:
+    """Homology of both spaces up to ``bound`` (by default the largest finite
+    homological dimension, floored at DEFAULT_COMPARISON_FLOOR), then both
+    capacities, so an untabled space raises before any product walk."""
+    canon_x, canon_y = canonicalize(space_x), canonicalize(space_y)
     if bound is None:
-        bound = default_comparison_bound(space_x, space_y)
-    agrees, exact = homology_equivalent(space_x, space_y, bound)
-    rule_x, rule_y = classify(space_x), classify(space_y)
-    cap_x, cap_y = rule_x.count, rule_y.count
+        bound = _floored(_dimension(canon_x), _dimension(canon_y))
+    px, py = _profile(canon_x, bound), _profile(canon_y, bound)
+    agrees = px.groups == py.groups
+    exact = px.exact_above_bound and py.exact_above_bound
+    cap_x, cap_y = _rule(canon_x).count, _rule(canon_y).count
     return CounterexampleReport(
-        space_x=rule_x.space,
-        space_y=rule_y.space,
+        space_x=canon_x,
+        space_y=canon_y,
         compared_up_to=bound,
         homology_agrees=agrees,
         exact_comparison=exact,

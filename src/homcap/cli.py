@@ -24,12 +24,7 @@ from .capacity import (
     classify,
 )
 from .grammar import DomainError, ParseError, parse_group, parse_space, render_group, render_space
-from .spaces import (
-    UnsupportedSpaceError,
-    canonicalize,
-    homological_dimension,
-    homology_profile,
-)
+from .spaces import UnsupportedSpaceError, _dimension, _profile, canonicalize
 
 __all__ = ["main"]
 
@@ -96,9 +91,9 @@ def _run_homology(args) -> tuple[dict, list[str]]:
     space = canonicalize(parse_space(args.space))
     bound = _bound(args)
     if bound is None:
-        dim = homological_dimension(space)
+        dim = _dimension(space)
         bound = dim if dim is not None else DEFAULT_COMPARISON_FLOOR
-    profile = homology_profile(space, bound)
+    profile = _profile(space, bound)
     doc = {
         "command": "homology",
         "space": render_space(space),

@@ -17,6 +17,7 @@ canonicalizes each degree once.  Profiles are made dense on return.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
@@ -68,6 +69,7 @@ class Sphere:
     dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 1:
             raise ValueError("sphere dimension must be >= 1")
 
@@ -92,6 +94,7 @@ class Moore:
     degree: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.degree < 2:
             raise ValueError(
                 "Moore spaces are not defined in degree 1; degree must be >= 2"
@@ -107,6 +110,7 @@ class EilenbergMacLane:
     degree: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.degree < 1:
             raise ValueError("Eilenberg-MacLane degree must be >= 1")
 
@@ -116,6 +120,7 @@ class ComplexProjective:
     dim: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim == 1:
             raise ValueError("CP^1 is the 2-sphere; write S^2")
         if self.dim < 2:
@@ -332,7 +337,8 @@ def _dimension(space: SpaceExpr) -> int | None:
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Degreewise homology table H_0 .. H_bound.
+    """Degreewise homology table: ``groups[n]`` is H_n, from degree 0 up to
+    the bound the profile was computed to.
 
     ``exact_above_bound`` certifies that every degree above the bound is
     trivial; it holds exactly when the space is finite-dimensional and
@@ -342,24 +348,15 @@ class HomologyProfile:
     groups: tuple[FgAbelianGroup, ...]
     exact_above_bound: bool
 
-    @property
-    def bound(self) -> int:
-        return len(self.groups) - 1
-
-    def group(self, n: int) -> FgAbelianGroup:
-        if n < 0:
-            raise ValueError("homology degree must be >= 0")
-        if n <= self.bound:
-            return self.groups[n]
-        if self.exact_above_bound:
-            return TRIVIAL
-        raise ValueError(f"degree {n} exceeds the computed bound {self.bound}")
-
 
 def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
+    return _profile(canonicalize(space), bound)
+
+
+def _profile(canon: SpaceExpr, bound: int) -> HomologyProfile:
+    # homology_profile of a canonical space
     if bound < 0:
         raise ValueError("profile bound must be >= 0")
-    canon = canonicalize(space)
     graded = _graded(canon, bound)
     groups = tuple(graded.get(n, TRIVIAL) for n in range(bound + 1))
     dim = _dimension(canon)

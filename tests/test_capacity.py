@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -24,7 +25,6 @@ from homcap import (
     direct_sum,
     enumerate_dominated,
     homology,
-    homology_equivalent,
     wedge,
 )
 from oracles import subset_product_bound
@@ -270,29 +270,43 @@ class TestTwoComplexFormula:
 
 class TestComparison:
     def test_headline_pair_agrees(self):
-        agrees, exact = homology_equivalent(Wedge((S2, S4)), CP2, 5)
-        assert agrees and exact
+        r = borsuk_report(Wedge((S2, S4)), CP2, 5)
+        assert r.homology_agrees and r.exact_comparison
 
     def test_spheres_disagree(self):
-        agrees, exact = homology_equivalent(S2, S3, 3)
-        assert not agrees and exact
+        r = borsuk_report(S2, S3, 3)
+        assert not r.homology_agrees and r.exact_comparison
 
     def test_reflexive(self):
-        agrees, _ = homology_equivalent(Wedge((S1, CP2)), Wedge((S1, CP2)), 7)
-        assert agrees
+        assert borsuk_report(Wedge((S1, CP2)), Wedge((S1, CP2)), 7).homology_agrees
 
     def test_default_bound_covers_dimensions(self):
         # CP^6 has homology up to degree 12; the default bound must see it
-        agrees, exact = homology_equivalent(ComplexProjective(6), ComplexProjective(6))
-        assert agrees and exact
+        r = borsuk_report(ComplexProjective(6), ComplexProjective(6))
+        assert r.homology_agrees and r.exact_comparison
+        assert r.compared_up_to == 12
 
     def test_infinite_dimensional_not_exact(self):
-        agrees, exact = homology_equivalent(KZ2, KZ2, 8)
-        assert agrees and not exact
+        r = borsuk_report(KZ2, KZ2, 8)
+        assert r.homology_agrees and not r.exact_comparison
 
     def test_unsupported_space_propagates(self):
         with pytest.raises(UnsupportedSpaceError):
-            homology_equivalent(EilenbergMacLane(cyclic(6), 2), S2, 4)
+            borsuk_report(EilenbergMacLane(cyclic(6), 2), S2, 4)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            borsuk_report(S2, S2, -1)
+
+    def test_unsupported_space_raises_before_the_product_walk(self, monkeypatch):
+        # homology comes first, so the product's sub-products are never walked
+        def walk(prod):
+            raise AssertionError("the product walk ran")
+
+        monkeypatch.setattr(sys.modules["homcap.capacity"], "_distinguishable_subproducts", walk)
+        space = Product(tuple(Sphere(n) for n in range(2, 13)))
+        with pytest.raises(UnsupportedSpaceError):
+            borsuk_report(space, EilenbergMacLane(cyclic(6), 2))
 
 
 class TestBorsukReport:

@@ -121,6 +121,34 @@ class TestCompareCommand:
         assert doc["exact_comparison"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, outermost",
+    [
+        (["compare", "S^2 v S^4", "CP^2"], 2),
+        (["compare", "S^2 x S^3", "K(Z/6, 2)", "--bound", "4"], 2),
+        (["homology", "S^2 x S^3"], 1),
+        (["capacity", "S^2 v S^3"], 1),
+    ],
+)
+def test_each_space_is_canonicalized_once(monkeypatch, capsys, argv, outermost):
+    canonicalize, depth, calls = sys.modules["homcap.spaces"].canonicalize, [0], []
+
+    def counted(space):
+        calls.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return canonicalize(space)
+        finally:
+            depth[0] -= 1
+
+    # `import homcap.capacity` would bind the function the package re-exports
+    for name in ("homcap.spaces", "homcap.capacity", "homcap.cli"):
+        monkeypatch.setattr(sys.modules[name], "canonicalize", counted)
+    main(argv)
+    capsys.readouterr()
+    assert sum(calls) == outermost
+
+
 class TestSummandsCommand:
     def test_classes(self, capsys):
         doc = run_json(capsys, "summands", "Z/4 + Z/2")
