@@ -30,20 +30,17 @@ from .spaces import (
     POINT,
     ComplexProjective,
     EilenbergMacLane,
-    Moore,
     Product,
     SpaceExpr,
-    Sphere,
     UnsupportedSpaceError,
     Wedge,
     _dimension,
     _graded,
     _kunneth,
-    _moore_parts,
+    _moore_groups,
+    _moore_wedge,
     _profile,
     canonicalize,
-    space_sort_key,
-    wedge,
 )
 
 __all__ = [
@@ -117,26 +114,18 @@ def _moore_wedge_groups(canon: SpaceExpr) -> dict[int, FgAbelianGroup] | None:
     child, or a circle mixed with torsion.
     """
     children = canon.children if isinstance(canon, Wedge) else () if canon == POINT else (canon,)
-    if not all(isinstance(c, (Sphere, Moore)) for c in children):
-        return None
-    has_circle = any(isinstance(c, Sphere) and c.dim == 1 for c in children)
-    if has_circle and not all(isinstance(c, Sphere) for c in children):
-        # a circle wedged with a torsion Moore space has no proved value
-        return None
-    return {n: g for n, g in _graded(canon, _dimension(canon)).items() if n}
+    groups, rest = _moore_groups(children)
+    # a circle wedged with a torsion Moore space has no proved value
+    circle_with_torsion = 1 in groups and any(g.invariant_factors for g in groups.values())
+    return None if rest or circle_with_torsion else groups
 
 
-def _summand_wedges(groups: dict[int, FgAbelianGroup], parts) -> list[SpaceExpr]:
-    # one wedge of parts(summand, degree) per choice of a direct-summand
+def _summand_wedges(groups: dict[int, FgAbelianGroup], build) -> list[SpaceExpr]:
+    # one space build({degree: summand}) per choice of a direct-summand
     # class in every degree, with the lowest degree varying fastest
     degrees = sorted(groups, reverse=True)
     choices = [enumerate_direct_summands(groups[d]) for d in degrees]
-    return [
-        wedge(*sorted(
-            (p for deg, s in zip(degrees, combo) for p in parts(s, deg)), key=space_sort_key
-        ))
-        for combo in itertools.product(*choices)
-    ]
+    return [build(dict(zip(degrees, combo))) for combo in itertools.product(*choices)]
 
 
 @dataclass(frozen=True)
@@ -180,16 +169,17 @@ def classify(space: SpaceExpr) -> Rule:
 
 def _rule(canon: SpaceExpr) -> Rule:
     # the dispatch of classify, on a canonical space
-    groups, parts = _moore_wedge_groups(canon), _moore_parts
+    groups, build = _moore_wedge_groups(canon), _moore_wedge
     if isinstance(canon, EilenbergMacLane):
-        groups = {canon.degree: canon.group}
-        parts = lambda s, n: [canonicalize(EilenbergMacLane(s, n))]
+        n = canon.degree
+        groups = {n: canon.group}
+        build = lambda chosen: canonicalize(EilenbergMacLane(chosen[n], n))
     if groups is not None:
         return Rule(
             canon,
             ExtendedCount.finite(math.prod(count_direct_summands(g) for g in groups.values())),
             len(groups) > 1 and any(g.invariant_factors for g in groups.values()),
-            partial(_summand_wedges, groups, parts),
+            partial(_summand_wedges, groups, build),
         )
     if canon == ComplexProjective(2):
         return Rule(canon, ExtendedCount.finite(2), enumerator=lambda: [POINT, canon])
@@ -272,9 +262,9 @@ def borsuk_report(
     canon_x, canon_y = canonicalize(space_x), canonicalize(space_y)
     if bound is None:
         bound = _floored(_dimension(canon_x), _dimension(canon_y))
-    px, py = _profile(canon_x, bound), _profile(canon_y, bound)
-    agrees = px.groups == py.groups
-    exact = px.exact_above_bound and py.exact_above_bound
+    (graded_x, exact_x), (graded_y, exact_y) = _profile(canon_x, bound), _profile(canon_y, bound)
+    agrees = graded_x == graded_y  # both sparse: only nonzero groups are kept
+    exact = exact_x and exact_y
     cap_x, cap_y = _rule(canon_x).count, _rule(canon_y).count
     return CounterexampleReport(
         space_x=canon_x,

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .abelian import enumerate_direct_summands
+from .abelian import TRIVIAL, enumerate_direct_summands
 from .capacity import (
     DEFAULT_COMPARISON_FLOOR,
     ExtendedCount,
@@ -93,18 +93,19 @@ def _run_homology(args) -> tuple[dict, list[str]]:
     if bound is None:
         dim = _dimension(space)
         bound = dim if dim is not None else DEFAULT_COMPARISON_FLOOR
-    profile = _profile(space, bound)
+    graded, exact = _profile(space, bound)
+    groups = [graded.get(n, TRIVIAL) for n in range(bound + 1)]
     doc = {
         "command": "homology",
         "space": render_space(space),
         "bound": bound,
-        "groups": {str(n): render_group(g) for n, g in enumerate(profile.groups)},
-        "exact_above_bound": profile.exact_above_bound,
+        "groups": {str(n): render_group(g) for n, g in enumerate(groups)},
+        "exact_above_bound": exact,
     }
     lines = [f"space: {doc['space']}", f"bound: {bound}"]
-    lines += [f"H_{n} = {render_group(g)}" for n, g in enumerate(profile.groups)]
+    lines += [f"H_{n} = {render_group(g)}" for n, g in enumerate(groups)]
     lines.append(
-        "exact above bound: yes" if profile.exact_above_bound
+        "exact above bound: yes" if exact
         else f"exact above bound: no (verified up to {bound})"
     )
     return doc, lines

@@ -12,7 +12,8 @@ up to a bound, in ascending degree.  Atoms list only their nonzero
 degrees (a sphere is {0: Z, n: Z}); only K-spaces fill every periodic
 degree up to the bound.  Kunneth pairs nonzero degrees only, collects
 the cyclic orders of every tensor and Tor piece landing in a degree, and
-canonicalizes each degree once.  Profiles are made dense on return.
+canonicalizes each degree once.  A profile is made dense only where
+every degree is returned or printed.
 """
 
 from __future__ import annotations
@@ -186,28 +187,46 @@ def space_sort_key(space: SpaceExpr) -> tuple:
     raise TypeError(f"not a space expression: {space!r}")
 
 
-def _moore_parts(group: FgAbelianGroup, degree: int) -> list[SpaceExpr]:
-    # M(A (+) B, n) splits as M(A, n) v M(B, n); peel the free part off as
-    # spheres and keep the torsion in a single Moore space.
-    parts: list[SpaceExpr] = [Sphere(degree)] * group.free_rank
-    torsion = group.torsion()
-    if not torsion.is_trivial():
-        parts.append(Moore(torsion, degree))
-    return parts
+def _moore_groups(children) -> tuple[dict[int, FgAbelianGroup], list[SpaceExpr]]:
+    # the reduced homology of the sphere and Moore children by ascending
+    # degree, each degree summed once, and the other children as they are
+    summands: dict[int, list[FgAbelianGroup]] = defaultdict(list)
+    rest: list[SpaceExpr] = []
+    for child in children:
+        if isinstance(child, Sphere):
+            summands[child.dim].append(Z)
+        elif isinstance(child, Moore):
+            summands[child.degree].append(child.group)
+        else:
+            rest.append(child)
+    return {n: direct_sum(*summands[n]) for n in sorted(summands)}, rest
+
+
+def _moore_wedge(groups: dict[int, FgAbelianGroup], rest=()) -> SpaceExpr:
+    # the canonical wedge of rest with reduced homology groups[n] in each
+    # degree n: M(A (+) B, n) splits as M(A, n) v M(B, n), so the free part
+    # is spheres and the torsion a single Moore space
+    parts = list(rest)
+    for n, g in groups.items():
+        parts += [Sphere(n)] * g.free_rank
+        if g.invariant_factors:
+            parts.append(Moore(g.torsion(), n))
+    return wedge(*sorted(parts, key=space_sort_key))
 
 
 def canonicalize(space: SpaceExpr) -> SpaceExpr:
     """Rewrite to the canonical form, preserving homotopy type.
 
     Wedges and products are flattened, stripped of point children, and
-    sorted; Moore spaces shed their free rank as spheres (M(Z, n) is
-    S^n) and vanish when the coefficient group is trivial; K(0, n) is a
-    point and K(Z, 1) is the circle.  Idempotent.
+    sorted; K(0, n) is a point and K(Z, 1) is the circle.  In a wedge the
+    spheres and Moore spaces of one degree merge into that degree's
+    spheres plus at most one torsion Moore space (M(A, n) v M(B, n) is
+    M(A + B, n) and M(Z, n) is S^n); a trivial group vanishes.  Idempotent.
     """
     if isinstance(space, (Point, Sphere, ComplexProjective)):
         return space
     if isinstance(space, Moore):
-        return wedge(*sorted(_moore_parts(space.group, space.degree), key=space_sort_key))
+        return _moore_wedge({space.degree: space.group})
     if isinstance(space, EilenbergMacLane):
         if space.group.is_trivial():
             return POINT
@@ -224,18 +243,7 @@ def canonicalize(space: SpaceExpr) -> SpaceExpr:
                 flat.append(child)
         if isinstance(space, Product):
             return product(*sorted(flat, key=space_sort_key))
-        # same-degree Moore children merge (M(A,n) v M(B,n) is M(A+B, n)),
-        # so a canonical wedge has at most one torsion Moore space per degree
-        torsion_by_degree: dict[int, FgAbelianGroup] = {}
-        rest: list[SpaceExpr] = []
-        for child in flat:
-            if isinstance(child, Moore):
-                merged = torsion_by_degree.get(child.degree, TRIVIAL)
-                torsion_by_degree[child.degree] = direct_sum(merged, child.group)
-            else:
-                rest.append(child)
-        rest.extend(Moore(g, n) for n, g in torsion_by_degree.items())
-        return wedge(*sorted(rest, key=space_sort_key))
+        return _moore_wedge(*_moore_groups(flat))
     raise TypeError(f"not a space expression: {space!r}")
 
 
@@ -350,14 +358,13 @@ class HomologyProfile:
 
 
 def homology_profile(space: SpaceExpr, bound: int) -> HomologyProfile:
-    return _profile(canonicalize(space), bound)
+    graded, exact = _profile(canonicalize(space), bound)
+    return HomologyProfile(tuple(graded.get(n, TRIVIAL) for n in range(bound + 1)), exact)
 
 
-def _profile(canon: SpaceExpr, bound: int) -> HomologyProfile:
-    # homology_profile of a canonical space
+def _profile(canon: SpaceExpr, bound: int) -> tuple[dict[int, FgAbelianGroup], bool]:
+    # homology_profile of a canonical space, kept sparse
     if bound < 0:
         raise ValueError("profile bound must be >= 0")
-    graded = _graded(canon, bound)
-    groups = tuple(graded.get(n, TRIVIAL) for n in range(bound + 1))
     dim = _dimension(canon)
-    return HomologyProfile(groups, dim is not None and bound >= dim)
+    return _graded(canon, bound), dim is not None and bound >= dim

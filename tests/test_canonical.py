@@ -3,7 +3,8 @@
 Canonical groups are checked against ``oracles.factoring_canonical``
 (trial division and prime-power recombination) and, on small inputs,
 against the determinant divisors of the diagonal relation matrix.  The
-timing pins hold inputs that factoring or a flat chain made slow.
+timing pins hold inputs that factoring, a flat chain, a pairwise wedge
+merge or a dense profile made slow.
 """
 
 import json
@@ -14,11 +15,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from homcap import (
+    ExtendedCount,
     FgAbelianGroup,
     Moore,
     Product,
     Sphere,
     Wedge,
+    borsuk_report,
+    canonicalize,
+    capacity,
     cyclic,
     direct_sum,
     homology,
@@ -157,6 +162,21 @@ def test_repeated_torsion_pieces_are_counted_in_runs():
     assert g == FgAbelianGroup(0, (2,) * 8000) and seconds < 1.0
     g, seconds = _timed(FgAbelianGroup.from_orders, *[4, 6] * 8000)
     assert g == FgAbelianGroup(0, (2,) * 8000 + (12,) * 8000) and seconds < 1.0
+
+
+def test_a_wide_moore_wedge_merges_in_one_pass():
+    # merging same-degree Moore spaces pairwise is quadratic in the width
+    space = Wedge((Moore(cyclic(2), 2),) * 8000)
+    canon, seconds = _timed(canonicalize, space)
+    assert canon == Moore(FgAbelianGroup(0, (2,) * 8000), 2) and seconds < 1.0
+    count, seconds = _timed(capacity, space)
+    assert count == ExtendedCount.finite(8001) and seconds < 1.0
+
+
+def test_comparing_spheres_to_a_huge_bound_stays_sparse():
+    report, seconds = _timed(borsuk_report, Sphere(3), Sphere(4), 10**9)
+    assert report.compared_up_to == 10**9 and seconds < 1.0
+    assert report.exact_comparison and not report.homology_agrees
 
 
 def test_summands_of_orders_with_a_large_prime_cofactor(capsys):

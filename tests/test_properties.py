@@ -240,6 +240,7 @@ def test_enumeration_cardinality(space):
     assert POINT in dominated
     assert canonicalize(space) in dominated
     assert len(set(dominated)) == len(dominated)
+    assert all(canonicalize(d) == d for d in dominated)
 
 
 @given(enumerable_spaces)
