@@ -8,10 +8,11 @@ built from gcd and lcm alone; only ``primary_decomposition``, which
 summand counting and enumeration need, factors an integer.
 
 The module provides the Smith normal form underneath presentations, the
-usual constructions (direct sum, tensor, Tor, primary decomposition),
-and counting/enumeration of direct-summand isomorphism classes; the
-brute-force oracle that validates the counting formula on small finite
-groups lives in ``tests/oracles.py``.
+usual constructions (direct sum, primary decomposition), the Kunneth
+formula for graded groups, whose degree-0 and degree-1 terms are
+``tensor`` and ``tor``, and counting/enumeration of direct-summand
+isomorphism classes; the brute-force oracle that validates the counting
+formula on small finite groups lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -394,30 +395,40 @@ def enumerate_direct_summands(g: FgAbelianGroup) -> list[FgAbelianGroup]:
 
 
 # ---------------------------------------------------------------------------
-# tensor and Tor
+# the Kunneth formula; tensor and Tor are its degree-0 and degree-1 terms
 
 
-def _tor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
-    # cyclic orders of Tor(A, B), trivial pieces dropped
-    pairs = itertools.product(a.invariant_factors, b.invariant_factors)
-    return [g for d, e in pairs if (g := math.gcd(d, e)) > 1]
-
-
-def _tensor_orders(a: FgAbelianGroup, b: FgAbelianGroup) -> list[int]:
-    # cyclic orders of the torsion of A (x) B, trivial pieces dropped; its
-    # free rank is a.free_rank * b.free_rank
-    orders = list(b.invariant_factors) * a.free_rank
-    orders.extend(list(a.invariant_factors) * b.free_rank)
-    orders.extend(_tor_orders(a, b))
-    return orders
+def _kunneth(
+    left: dict[int, FgAbelianGroup], right: dict[int, FgAbelianGroup], top: int
+) -> dict[int, FgAbelianGroup]:
+    # H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j)
+    # over nonzero degrees up to top, ascending.  Z (x) X = X, Tor vanishes
+    # against Z, and Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e): each pair's gcd
+    # list is both torsion (x) torsion in degree i+j and Tor in degree i+j+1.
+    # Each degree is canonicalized once.
+    ranks: dict[int, int] = defaultdict(int)
+    orders: dict[int, list[int]] = defaultdict(list)
+    for i, a in left.items():
+        for j, b in right.items():
+            n = i + j
+            if n > top:
+                break  # degrees ascend
+            ranks[n] += a.free_rank * b.free_rank
+            pairs = itertools.product(a.invariant_factors, b.invariant_factors)
+            gcds = [g for d, e in pairs if (g := math.gcd(d, e)) > 1]
+            orders[n] += b.invariant_factors * a.free_rank + a.invariant_factors * b.free_rank
+            orders[n] += gcds
+            if n < top:
+                orders[n + 1] += gcds
+    return {n: _canonical(ranks[n], orders[n]) for n in sorted(orders) if ranks[n] or orders[n]}
 
 
 def tensor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tensor product over Z: bilinear in direct sums, Z (x) X = X,
     Z/m (x) Z/n = Z/gcd(m, n)."""
-    return _canonical(a.free_rank * b.free_rank, _tensor_orders(a, b))
+    return _kunneth({0: a}, {0: b}, 0).get(0, TRIVIAL)
 
 
 def tor(a: FgAbelianGroup, b: FgAbelianGroup) -> FgAbelianGroup:
     """Tor over Z: vanishes against free groups, Tor(Z/m, Z/n) = Z/gcd(m, n)."""
-    return FgAbelianGroup.from_orders(*_tor_orders(a, b))
+    return _kunneth({0: a}, {0: b}, 1).get(1, TRIVIAL)

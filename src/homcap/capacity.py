@@ -23,6 +23,7 @@ from functools import partial
 from .abelian import (
     Z,
     FgAbelianGroup,
+    _kunneth,
     count_direct_summands,
     enumerate_direct_summands,
 )
@@ -36,7 +37,6 @@ from .spaces import (
     Wedge,
     _dimension,
     _graded,
-    _kunneth,
     _moore_groups,
     _moore_wedge,
     _profile,

@@ -10,10 +10,10 @@ handling products.
 A graded group is kept sparse: a dict from degree to its nonzero group,
 up to a bound, in ascending degree.  Atoms list only their nonzero
 degrees (a sphere is {0: Z, n: Z}); only K-spaces fill every periodic
-degree up to the bound.  Kunneth pairs nonzero degrees only, collects
-the cyclic orders of every tensor and Tor piece landing in a degree, and
-canonicalizes each degree once.  A profile is made dense only where
-every degree is returned or printed.
+degree up to the bound.  Products fold their factors with
+``abelian._kunneth``, which pairs nonzero degrees only and canonicalizes
+each degree once.  A profile is made dense only where every degree is
+returned or printed.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from .abelian import (
     TRIVIAL,
     Z,
     FgAbelianGroup,
-    _canonical,
-    _tensor_orders,
-    _tor_orders,
+    _kunneth,
     direct_sum,
     group_sort_key,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "space_sort_key",
     "homology",
     "homology_profile",
-    "homological_dimension",
 ]
 
 
@@ -258,25 +255,6 @@ def _em_supported(space: EilenbergMacLane) -> bool:
     )
 
 
-def _kunneth(
-    left: dict[int, FgAbelianGroup], right: dict[int, FgAbelianGroup], top: int
-) -> dict[int, FgAbelianGroup]:
-    # H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j),
-    # over nonzero degrees only; each degree is canonicalized once
-    ranks: dict[int, int] = defaultdict(int)
-    orders: dict[int, list[int]] = defaultdict(list)
-    for i, a in left.items():
-        for j, b in right.items():
-            if i + j > top:
-                break  # degrees ascend
-            ranks[i + j] += a.free_rank * b.free_rank
-            orders[i + j] += _tensor_orders(a, b)
-            if i + j < top:
-                orders[i + j + 1] += _tor_orders(a, b)
-    degrees = sorted(n for n in orders if ranks[n] or orders[n])
-    return {n: _canonical(ranks[n], orders[n]) for n in degrees}
-
-
 def _graded(space: SpaceExpr, top: int) -> dict[int, FgAbelianGroup]:
     """The nonzero groups H_0 .. H_top of a canonical space, by ascending
     degree."""
@@ -319,14 +297,9 @@ def homology(space: SpaceExpr, n: int) -> FgAbelianGroup:
     return _graded(canonicalize(space), n).get(n, TRIVIAL)
 
 
-def homological_dimension(space: SpaceExpr) -> int | None:
-    """Largest degree with possibly nonzero homology, or None when the
-    homology is unbounded (an Eilenberg-MacLane factor is present)."""
-    return _dimension(canonicalize(space))
-
-
 def _dimension(space: SpaceExpr) -> int | None:
-    # homological_dimension of a canonical space
+    # the largest degree with possibly nonzero homology of a canonical
+    # space, or None when it is unbounded (an Eilenberg-MacLane factor)
     if isinstance(space, Point):
         return 0
     if isinstance(space, Sphere):

@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route than the code under
 test: determinant divisors instead of elimination, exhaustive
 generator-image search instead of canonical forms, explicit relation
-matrices instead of gcd rules, dense degree lists with one canonical
-group per tensor/Tor piece instead of sparse graded maps, a fresh
+matrices instead of gcd rules, dense degree lists with each tensor/Tor
+piece built from the gcd rule and canonicalized by factoring instead of
+sparse graded maps through homcap's Kunneth formula, a fresh
 Kunneth fold for each of the 2^k sub-products instead of a walk over
 sub-multisets, invariant factors recombined from prime powers found by
 trial division instead of a gcd/lcm chain, and direct summands found by
@@ -34,12 +35,10 @@ from homcap import (
     canonicalize,
     direct_sum,
     from_presentation,
-    homological_dimension,
     smith_normal_form,
-    tensor,
-    tor,
 )
 from homcap.abelian import group_sort_key
+from homcap.spaces import _dimension
 
 
 def matrix(rows) -> IntMatrix:
@@ -436,13 +435,18 @@ def dense_kunneth(
     left: list[FgAbelianGroup], right: list[FgAbelianGroup]
 ) -> list[FgAbelianGroup]:
     """H_n(X x Y) = sum_{i+j=n} H_i (x) H_j + sum_{i+j=n-1} Tor(H_i, H_j)
-    over every pair of degrees, each piece canonicalized on its own."""
-    out = []
-    for n in range(len(left)):
-        pieces = [tensor(left[i], right[n - i]) for i in range(n + 1)]
-        pieces.extend(tor(left[i], right[n - 1 - i]) for i in range(n))
-        out.append(direct_sum(*pieces))
-    return out
+    over every pair of degrees.  Each piece comes from Z (x) X = X and
+    Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e) and is canonicalized on its
+    own by factoring."""
+    pieces: list[list[FgAbelianGroup]] = [[] for _ in left]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right[: len(left) - i]):
+            gcds = [math.gcd(d, e) for d in a.invariant_factors for e in b.invariant_factors]
+            torsion = [*b.invariant_factors] * a.free_rank + [*a.invariant_factors] * b.free_rank
+            pieces[i + j].append(factoring_canonical(a.free_rank * b.free_rank, torsion + gcds))
+            if i + j + 1 < len(left):
+                pieces[i + j + 1].append(factoring_canonical(0, gcds))
+    return [direct_sum(*p) for p in pieces]
 
 
 def dense_homology(space, top: int) -> list[FgAbelianGroup]:
@@ -491,6 +495,6 @@ def subset_product_bound(space) -> int:
     for mask in itertools.product((False, True), repeat=len(factors)):
         picked = tuple(f for f, take in zip(factors, mask) if take)
         subs.append(POINT if not picked else picked[0] if len(picked) == 1 else Product(picked))
-    dims = [homological_dimension(s) for s in subs]
+    dims = [_dimension(canonicalize(s)) for s in subs]
     bound = max([10] + [d for d in dims if d is not None])
     return len({tuple(dense_homology(s, bound)) for s in subs})

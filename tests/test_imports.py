@@ -1,5 +1,6 @@
 """Every name a module of ``src/homcap`` imports is used in that module,
-so deleted code takes its imports with it.  ``__init__`` only re-exports."""
+so deleted code takes its imports with it, and each module imports only
+from the layers below it.  ``__init__`` only re-exports."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,32 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert _unused_imports(module.read_text()) == []
+
+
+# each module imports only from modules of a lower layer
+LAYERS = {"abelian": 0, "spaces": 1, "capacity": 2, "grammar": 2, "cli": 3}
+
+
+def _imported_modules(source: str) -> set[str]:
+    # the sibling modules named by a module's relative imports, the only
+    # form the package uses for its own modules
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES} == set(LAYERS)
+
+
+def test_the_layer_check_reads_relative_imports():
+    source = "from .spaces import a\nfrom . import cli\nimport math\nfrom os import path\n"
+    assert _imported_modules(source) == {"spaces", "cli"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_imports_only_from_lower_layers(module):
+    layer = LAYERS[module.stem]
+    assert {m for m in _imported_modules(module.read_text()) if LAYERS[m] >= layer} == set()

@@ -38,6 +38,7 @@ from homcap import (
     tor,
     wedge,
 )
+from homcap.spaces import _dimension
 from oracles import (
     all_abelian_groups_up_to,
     brute_force_summands,
@@ -249,9 +250,7 @@ def test_summand_coherence(space):
     cap = capacity(space)
     assume(cap.is_finite and cap.value <= 64)
     canon = canonicalize(space)
-    from homcap import homological_dimension
-
-    dim = homological_dimension(canon) or 0
+    dim = _dimension(canon) or 0
     for dominated in enumerate_dominated(canon):
         for n in range(dim + 1):
             classes = enumerate_direct_summands(homology(canon, n))
